@@ -3,8 +3,9 @@
  * MetricRegistry tests: instrument lifecycle (get-or-create, kind
  * collision, lookup), merge semantics per kind, the CmdStats /
  * PrepTally publish/fromRegistry round trip, snapshot export, the
- * Chrome-trace sink, and the golden test pinning RunResult-from-
- * registry to the pre-refactor values for a CC and a BG-2 run.
+ * Chrome-trace sink, the golden test pinning RunResult-from-registry
+ * to the pre-refactor values for a CC and a BG-2 run, and the byte
+ * digests of the metrics JSON and Chrome trace of seven runs.
  */
 
 #include <gtest/gtest.h>
@@ -546,5 +547,93 @@ TEST_F(MetricsGolden, ReserveExactMirrorsTheBundleBlocks)
     // Mirroring twice must fail (already reserved), not double-book.
     EXPECT_FALSE(ftl.reserveExact(bundle->layout.blocks));
 }
+
+// ==================================================================
+// Byte goldens: the FNV-1a-64 digest of the full metrics JSON and of
+// the Chrome trace of every streaming platform, the barrier baseline,
+// the cache tier and a degraded replicated array. Any change to a
+// command path that moves a single byte of either output fails here.
+// ==================================================================
+
+std::uint64_t
+fnv1a64(const std::string &text)
+{
+    std::uint64_t h = 14695981039346656037ull;
+    for (unsigned char c : text) {
+        h ^= c;
+        h *= 1099511628211ull;
+    }
+    return h;
+}
+
+struct DigestCase
+{
+    const char *name;
+    platforms::PlatformKind kind;
+    double cacheMB;
+    /** 2 = two devices, replication 2, device 1 killed at 40 us. */
+    unsigned devices;
+    std::uint64_t metrics;
+    std::uint64_t trace;
+};
+
+void
+PrintTo(const DigestCase &c, std::ostream *os)
+{
+    *os << c.name;
+}
+
+class MetricsDigest : public MetricsGolden,
+                      public ::testing::WithParamInterface<DigestCase>
+{
+};
+
+TEST_P(MetricsDigest, JsonAndTraceBytesArePinned)
+{
+    const DigestCase &c = GetParam();
+    platforms::RunConfig rc = run;
+    rc.cache.capacityMB = c.cacheMB;
+    rc.topology.devices = c.devices;
+    if (c.devices > 1) {
+        rc.topology.replication = 2;
+        rc.kills = {{1, -1, sim::microseconds(40)}};
+    }
+    sim::TraceSink sink;
+    rc.traceSink = &sink;
+    MetricRegistry reg;
+    platforms::runPlatform(platforms::makePlatform(c.kind), rc, *bundle,
+                           &reg);
+    std::ostringstream metrics, trace;
+    reg.writeJson(metrics);
+    sink.write(trace);
+    const std::uint64_t got_metrics = fnv1a64(metrics.str());
+    const std::uint64_t got_trace = fnv1a64(trace.str());
+    EXPECT_EQ(got_metrics, c.metrics)
+        << std::hex << "metrics digest 0x" << got_metrics;
+    EXPECT_EQ(got_trace, c.trace)
+        << std::hex << "trace digest 0x" << got_trace;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SevenRuns, MetricsDigest,
+    ::testing::Values(
+        DigestCase{"CC", platforms::PlatformKind::CC, 0, 1,
+                   0xb139a7bbcabbe48bull, 0x7b7fcb522870e9efull},
+        DigestCase{"BG_SP", platforms::PlatformKind::BG_SP, 0, 1,
+                   0xf58f3d30e3b7bf04ull, 0x57ad288470996528ull},
+        DigestCase{"BG_DG", platforms::PlatformKind::BG_DG, 0, 1,
+                   0xc88d7dac85f2fe7cull, 0x5652964639603977ull},
+        DigestCase{"BG_DGSP", platforms::PlatformKind::BG_DGSP, 0, 1,
+                   0xef3928460d1c76cdull, 0x7256c8362e418a32ull},
+        DigestCase{"BG2", platforms::PlatformKind::BG2, 0, 1,
+                   0x0ec882b6823a6104ull, 0xd123bc7079985507ull},
+        DigestCase{"BG2_Cache4MiB", platforms::PlatformKind::BG2, 4, 1,
+                   0x114718759ef59b69ull, 0x3688ecb66e3f6c9cull},
+        DigestCase{"BG2_TwoDevicesR2OneKilled",
+                   platforms::PlatformKind::BG2, 0, 2,
+                   0x5bb130c4722f46cbull, 0x959d26a91206cfe7ull}),
+    [](const ::testing::TestParamInfo<DigestCase> &tp) {
+        return std::string(tp.param.name);
+    });
 
 } // namespace
