@@ -22,6 +22,7 @@
 #include <set>
 
 #include "accel/systolic.h"
+#include "platforms/device_context.h"
 #include "sim/ordered.h"
 
 using namespace bench;
@@ -99,14 +100,13 @@ stripingAblation()
             dies.insert(codec.globalDieOf(ppa));
 
         // Time BG-2 on this layout.
-        sim::EventQueue q;
-        flash::FlashBackend backend(sys.flash);
-        ssd::Firmware fw(rc.system);
         auto p = platforms::makePlatform(PlatformKind::BG2);
         gnn::ModelConfig m = model;
         m.featureDim = feat.dim();
-        engines::GnnEngine engine(q, backend, fw, layout, g, m,
-                                  p.flags, src);
+        platforms::DeviceContext dev(p, rc.system, {}, m, layout.blocks,
+                                     0, false);
+        engines::GnnEngine engine({dev.port()}, layout, g, m, p.flags,
+                                  src);
         std::vector<graph::NodeId> targets(rc.batchSize);
         sim::Pcg32 rng(1);
         for (auto &t : targets)
@@ -114,7 +114,8 @@ stripingAblation()
         engines::PrepResult pr;
         engine.prepare(0, 0, targets,
                        [&](engines::PrepResult &&r) { pr = std::move(r); });
-        q.run();
+        dev.queue().run();
+        engine.completePrepared();
 
         std::printf("stripe %-9s dies touched %4zu / %u   prep "
                     "%8.2f ms\n",

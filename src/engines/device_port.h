@@ -51,11 +51,10 @@ struct DevicePort
     cache::VertexCache *cache = nullptr;
     /** Outbound P2P port (null on a single device). */
     sim::BandwidthResource *p2pOut = nullptr;
-    /** This device's own event queue / local clock (multi-device
-     *  runs; null on the single-device convenience path, which uses
-     *  the engine's shared queue). Cross-device work must reach a
-     *  foreign device's queue through the mailbox, never by direct
-     *  scheduling (DESIGN.md §13, bgnlint BGN006). */
+    /** This device's own event queue / local clock (required). Cross-
+     *  device work must reach a foreign device's queue through the
+     *  mailbox, never by direct scheduling (DESIGN.md §13, bgnlint
+     *  BGN006). */
     sim::EventQueue *queue = nullptr;
     /** Chrome-trace pid base of this device's tracks. */
     std::uint32_t tracePidBase = 0;
@@ -94,7 +93,7 @@ struct FabricConfig
     }
 };
 
-/** Per-device byte/command tallies of one mini-batch (array runs). */
+/** Per-device byte/command tallies of one mini-batch. */
 struct DeviceTally
 {
     std::uint64_t commands = 0;     ///< Commands executed here.

@@ -1,12 +1,13 @@
 /**
  * @file
- * DeviceContext: one SSD of the platform, fully wired — flash backend,
- * firmware frontend, optional channel-level command router, die-level
- * sampler bank, compute accelerator with its bus, and (on arrays) an
- * outbound P2P port. The single-device runner and the scale-out array
- * both build their hardware from this one class, so there is exactly
- * one place that knows how a BeaconGNN SSD is assembled and which
- * metric names its components publish.
+ * DeviceContext: one SSD of the platform, fully wired — event queue,
+ * flash backend, firmware frontend, optional channel-level command
+ * router, die-level sampler bank, compute accelerator with its bus,
+ * and (on arrays) an outbound P2P port. Platform runs of any device
+ * count, the BeaconGnnSystem facade and the engine-level tests and
+ * ablations all build their hardware from this one class, so there is
+ * exactly one place that knows how a BeaconGNN SSD is assembled and
+ * which metric names its components publish.
  */
 
 #ifndef BEACONGNN_PLATFORMS_DEVICE_CONTEXT_H

@@ -281,6 +281,7 @@ TEST_F(PlatformRig, MoreCoresHelpFirmwareBoundNotBg2)
 
 #include <sstream>
 
+#include "platforms/device_context.h"
 #include "platforms/report.h"
 
 namespace {
@@ -333,20 +334,19 @@ TEST(Report, ConfigBroadcastPrecedesFirstBatch)
     spec.simNodes = 1500;
     auto bundle = makeBundle(spec, sys.flash, model);
 
-    sim::EventQueue q;
-    flash::FlashBackend backend(sys.flash);
-    ssd::Firmware fw(sys);
     auto p = makePlatform(PlatformKind::BG2);
-    engines::GnnEngine engine(q, backend, fw, bundle->layout,
-                              bundle->graph, bundle->model, p.flags,
-                              *bundle->source);
+    DeviceContext dev(p, sys, {}, bundle->model, bundle->layout.blocks, 0,
+                      false);
+    engines::GnnEngine engine({dev.port()}, bundle->layout, bundle->graph,
+                              bundle->model, p.flags, *bundle->source);
     EXPECT_EQ(engine.configuredAt(), 0u);
 
     std::vector<graph::NodeId> targets = {1, 2};
     engines::PrepResult pr;
     engine.prepare(0, 0, targets,
                    [&](engines::PrepResult &&r) { pr = std::move(r); });
-    q.run();
+    dev.queue().run();
+    engine.completePrepared();
     // §VI-C: the global GNN configuration broadcast completes before
     // any sampling command is created.
     EXPECT_GT(engine.configuredAt(), 0u);
@@ -357,7 +357,8 @@ TEST(Report, ConfigBroadcastPrecedesFirstBatch)
     engines::PrepResult pr2;
     engine.prepare(pr.finish, 1, targets,
                    [&](engines::PrepResult &&r) { pr2 = std::move(r); });
-    q.run();
+    dev.queue().run();
+    engine.completePrepared();
     EXPECT_EQ(engine.configuredAt(), configured);
 }
 
