@@ -145,8 +145,9 @@ decodeSection(std::span<const std::uint8_t> page, std::uint32_t offset,
             off += kAddrBytes;
         }
     } else {
-        std::uint32_t expect =
-            kHeaderBytes + s.totalNeighbors * kAddrBytes;
+        // 64-bit: a corrupted count must not wrap to a plausible size.
+        const std::uint64_t expect =
+            kHeaderBytes + std::uint64_t{s.totalNeighbors} * kAddrBytes;
         if (expect != size)
             return std::nullopt;
         s.neighborAddrs.reserve(s.totalNeighbors);

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "directgraph/builder.h"
 #include "directgraph/source.h"
 #include "directgraph/verify.h"
@@ -374,6 +376,21 @@ TEST(Codec, FuzzDecodeNeverCrashes)
         auto all = decodePage(page, 64);
         EXPECT_LE(all.size(), kMaxSectionsPerPage);
     }
+
+    // A secondary section whose neighbour count is corrupted to
+    // 0x40000002: in 32-bit arithmetic 16 + count * 4 wraps to its
+    // true 24-byte size, and the decode loop would then read about 1G
+    // addresses past the page.
+    std::fill(page.begin(), page.end(), std::uint8_t{0});
+    const std::vector<DgAddress> two = {DgAddress(1, 0), DgAddress(2, 1)};
+    ASSERT_EQ(encodeSecondary(page, 7, two), 24u);
+    ASSERT_TRUE(decodeSection(page, 0, 64).has_value());
+    page[8] = 0x02;
+    page[9] = 0x00;
+    page[10] = 0x00;
+    page[11] = 0x40;
+    EXPECT_FALSE(decodeSection(page, 0, 64).has_value());
+    EXPECT_FALSE(findSection(page, 0, 64).has_value());
 }
 
 TEST(Codec, FuzzTruncatedSections)
