@@ -19,6 +19,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 
 #include "accel/accelerator.h"
 #include "cache/vertex_cache.h"
@@ -84,6 +85,15 @@ struct KillEvent
     int die = -1; ///< Device-local die index; -1 = whole device.
     sim::Tick at = 0;
 };
+
+/**
+ * Parse one kill spec: "DEV@US" kills a whole device, "DEV.DIE@US"
+ * one die, at US microseconds (the CLIs' --die-kill). Plain decimal
+ * digits only; nullopt on malformed input or on a device, die or time
+ * that does not fit its field (a die is never read as -1, the whole-
+ * device sentinel).
+ */
+std::optional<KillEvent> parseKillEvent(std::string_view spec);
 
 /** Run parameters. */
 struct RunConfig

@@ -109,39 +109,6 @@ usage(const char *argv0)
     std::exit(2);
 }
 
-/** Parse one --die-kill spec: "DEV@US" (whole device) or
- *  "DEV.DIE@US" (one die), US in microseconds. */
-std::optional<platforms::KillEvent>
-parseKillEvent(const std::string &spec)
-{
-    const std::size_t at = spec.find('@');
-    if (at == std::string::npos || at == 0 || at + 1 >= spec.size())
-        return std::nullopt;
-    const std::string target = spec.substr(0, at);
-    const std::string when = spec.substr(at + 1);
-    platforms::KillEvent k;
-    char *end = nullptr;
-    k.device = static_cast<unsigned>(
-        std::strtoul(target.c_str(), &end, 10));
-    if (end == target.c_str())
-        return std::nullopt;
-    if (*end == '.') {
-        const char *die_s = end + 1;
-        long die = std::strtol(die_s, &end, 10);
-        if (end == die_s || *end != '\0' || die < 0)
-            return std::nullopt;
-        k.die = static_cast<int>(die);
-    } else if (*end != '\0') {
-        return std::nullopt;
-    }
-    const unsigned long long us =
-        std::strtoull(when.c_str(), &end, 10);
-    if (end == when.c_str() || *end != '\0')
-        return std::nullopt;
-    k.at = sim::microseconds(static_cast<sim::Tick>(us));
-    return k;
-}
-
 std::vector<std::string>
 splitList(const std::string &csv)
 {
@@ -277,7 +244,7 @@ main(int argc, char **argv)
         }
         else if (a == "--die-kill") {
             for (const std::string &spec : splitList(next())) {
-                auto k = parseKillEvent(spec);
+                auto k = platforms::parseKillEvent(spec);
                 if (!k) {
                     std::fprintf(stderr,
                                  "bgnsim: bad --die-kill '%s' (want "
