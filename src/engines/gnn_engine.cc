@@ -320,22 +320,6 @@ GnnEngine::healthOf(unsigned dev) const
     return laneHealth[dev];
 }
 
-DispatchStats
-GnnEngine::routerTotals() const
-{
-    DispatchStats total;
-    for (const DevicePort &p : ports) {
-        if (!p.router)
-            continue;
-        DispatchStats s = p.router->stats();
-        total.routed += s.routed;
-        total.parsed += s.parsed;
-        total.crossChannel += s.crossChannel;
-        total.peakQueue = std::max(total.peakQueue, s.peakQueue);
-    }
-    return total;
-}
-
 void
 GnnEngine::prepare(sim::Tick start, std::uint64_t batch_id,
                    std::span<const graph::NodeId> targets,
@@ -470,7 +454,6 @@ GnnEngine::completePrepared()
 {
     for (const std::shared_ptr<Batch> &b : inFlight) {
         mergeLanes(*b);
-        b->res.routerStats = routerTotals();
         if (trace) {
             trace->complete("batch", "batch", flash::kTraceEnginePid,
                             static_cast<std::uint32_t>(b->id),

@@ -153,9 +153,6 @@ struct PrepResult
     std::uint64_t commands = 0;
     /** Flash reads avoided by batch-level node deduplication. */
     std::uint64_t dedupedReads = 0;
-    /** Channel-router statistics (BG-2 only; zeros otherwise; summed
-     *  over every device of an array run). */
-    DispatchStats routerStats;
     /** Commands that crossed a P2P link (array runs; else 0). */
     std::uint64_t crossDevice = 0;
     /** Commands routed to a surviving replica because their primary
@@ -392,9 +389,6 @@ class GnnEngine
     unsigned routeOn(std::vector<std::uint64_t> &routed,
                      graph::NodeId node, sim::Tick now,
                      std::uint64_t *fallbacks);
-
-    /** Router statistics summed over every port (peak queue = max). */
-    DispatchStats routerTotals() const;
 
     /** Hop-by-hop (barrier) pipeline: single-device, lane 0. */
     void runHop(const std::shared_ptr<Batch> &b, unsigned hop,
