@@ -121,8 +121,6 @@ generateArrivals(const ArrivalConfig &cfg, graph::NodeId numNodes)
         r.arrival = now;
         r.tenant = cfg.tenants ? rng.below(cfg.tenants) : 0;
         r.qos = static_cast<QosClass>(r.tenant % kQosClasses);
-        r.modelId = static_cast<std::uint8_t>(
-            cfg.modelCount > 1 ? r.tenant % cfg.modelCount : 0);
         r.target = zipf ? static_cast<graph::NodeId>(zipf->draw(rng))
                         : rng.below(numNodes);
         out.push_back(r);

@@ -52,12 +52,6 @@ struct ArrivalConfig
      *  (default) keeps the historical uniform targets. Rank k maps to
      *  node id k, so the hot set is the low node ids. */
     double zipfTheta = 0.0;
-
-    /** Model-zoo entries the stream spreads requests over (request
-     *  modelId = tenant % modelCount). 1 (default) pins every request
-     *  to model 0 — the historical single-model stream. The RNG draw
-     *  sequence is independent of this value. */
-    std::uint32_t modelCount = 1;
 };
 
 /**

@@ -1,6 +1,7 @@
 #include "serve/serve.h"
 
 #include <algorithm>
+#include <utility>
 
 namespace beacongnn::serve {
 
@@ -18,9 +19,13 @@ serveWorkload(const platforms::PlatformConfig &platform,
     res.offeredRate = cfg.arrivals.ratePerSec;
     res.requests = cfg.arrivals.requests;
 
-    MicroBatcher batcher(
-        cfg.policy,
-        generateArrivals(cfg.arrivals, bundle.graph.numNodes()));
+    std::vector<Request> arrivals =
+        generateArrivals(cfg.arrivals, bundle.graph.numNodes());
+    if (cfg.models.size() > 1)
+        for (Request &r : arrivals)
+            r.modelId = static_cast<std::uint8_t>(r.tenant %
+                                                  cfg.models.size());
+    MicroBatcher batcher(cfg.policy, std::move(arrivals));
     platforms::PlatformSession session(platform, run, bundle);
 
     // Per-request model selection: each configured kind becomes a

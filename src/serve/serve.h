@@ -45,8 +45,8 @@ struct ServeConfig
      *  replaced), and each dispatch splits into model-homogeneous
      *  sub-batches so the engine switches specs between batches.
      *  Empty (default) = the bundle model for every request — the
-     *  historical single-model path, byte-identical. Callers should
-     *  set arrivals.modelCount = models.size(). */
+     *  historical single-model path, byte-identical. Request
+     *  modelId = tenant % models.size(). */
     std::vector<gnn::ModelKind> models;
 };
 

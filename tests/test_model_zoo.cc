@@ -404,8 +404,6 @@ TEST(ServeModels, PerModelTalliesCoverEveryRequest)
     sc.arrivals.ratePerSec = 2000;
     sc.models = {gnn::ModelKind::GCN, gnn::ModelKind::GIN,
                  gnn::ModelKind::GAT};
-    sc.arrivals.modelCount =
-        static_cast<std::uint32_t>(sc.models.size());
 
     sim::MetricRegistry reg;
     serve::ServeResult r = serve::serveWorkload(
