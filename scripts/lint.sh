@@ -36,7 +36,7 @@ if [[ ! -x "$BGNLINT" ]]; then
     }
 fi
 note "bgnlint"
-"$BGNLINT" --root "$ROOT" --hints src tools bench || STATUS=1
+"$BGNLINT" --root "$ROOT" --hints src tools bench simbench || STATUS=1
 
 # ------------------------------------------------------------------
 # 2. clang-tidy (optional).
