@@ -550,9 +550,9 @@ TEST_F(MetricsGolden, ReserveExactMirrorsTheBundleBlocks)
 
 // ==================================================================
 // Byte goldens: the FNV-1a-64 digest of the full metrics JSON and of
-// the Chrome trace of every streaming platform, the barrier baseline,
-// the cache tier and a degraded replicated array. Any change to a
-// command path that moves a single byte of either output fails here.
+// the Chrome trace of every platform, the cache tier on both
+// pipelines and a degraded replicated array. Any change to a command
+// path that moves a single byte of either output fails here.
 // ==================================================================
 
 std::uint64_t
@@ -615,10 +615,18 @@ TEST_P(MetricsDigest, JsonAndTraceBytesArePinned)
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    SevenRuns, MetricsDigest,
+    PinnedRuns, MetricsDigest,
     ::testing::Values(
         DigestCase{"CC", platforms::PlatformKind::CC, 0, 1,
                    0xb139a7bbcabbe48bull, 0x7b7fcb522870e9efull},
+        DigestCase{"CC_Cache4MiB", platforms::PlatformKind::CC, 4, 1,
+                   0x554a4141f578b00eull, 0xe013605359c05a6cull},
+        DigestCase{"GLIST", platforms::PlatformKind::GLIST, 0, 1,
+                   0xdf806a6ea1208035ull, 0xe275e0463c134a7full},
+        DigestCase{"SmartSage", platforms::PlatformKind::SmartSage, 0, 1,
+                   0xf3e76de0429ab1ecull, 0x09a60cda98aae7b4ull},
+        DigestCase{"BG1", platforms::PlatformKind::BG1, 0, 1,
+                   0x165b53526bebf2b6ull, 0x994221477a779e34ull},
         DigestCase{"BG_SP", platforms::PlatformKind::BG_SP, 0, 1,
                    0xf58f3d30e3b7bf04ull, 0x57ad288470996528ull},
         DigestCase{"BG_DG", platforms::PlatformKind::BG_DG, 0, 1,
