@@ -265,6 +265,38 @@ TEST(FaultDeterminism, DisturbedReadsIdenticalAcrossJobs)
     EXPECT_EQ(j1, j4);
 }
 
+TEST(KillContract, KilledDieAbortsOnEveryPlatform)
+{
+    // The kill contract of DESIGN.md §17 holds on both pipelines: a
+    // read on a dead die aborts its command and fails the run, and
+    // the engine counts only the reads the backend really sensed.
+    FaultRig rig;
+    for (const char *spec : {"0.3@0", "0@0"}) {
+        for (platforms::PlatformKind kind : platforms::allPlatforms()) {
+            const std::string what =
+                platforms::platformName(kind) + " --die-kill " + spec;
+            platforms::RunConfig rc = rig.rc;
+            rc.kills = {*platforms::parseKillEvent(spec)};
+            sim::MetricRegistry reg;
+            platforms::runPlatform(platforms::makePlatform(kind), rc,
+                                   *rig.bundle, &reg);
+            auto counter = [&reg](const char *name) -> std::uint64_t {
+                const sim::Counter *c = reg.findCounter(name);
+                return c ? c->value() : 0;
+            };
+            ASSERT_NE(reg.findGauge("run.ok"), nullptr) << what;
+            EXPECT_EQ(reg.findGauge("run.ok")->value(), 0.0) << what;
+            EXPECT_GT(counter("flash.failed_reads"), 0u) << what;
+            EXPECT_EQ(counter("engine.aborted_commands"),
+                      counter("flash.failed_reads"))
+                << what;
+            EXPECT_EQ(counter("engine.flash_reads"),
+                      counter("flash.reads"))
+                << what;
+        }
+    }
+}
+
 TEST(FaultDeterminism, ReplicationAloneKeepsRunHealthy)
 {
     FaultRig rig;

@@ -2,7 +2,8 @@
 #
 #   cmake -DTOOL=<binary> -DARGS="<flags>" -DEXPECT=<regex> -P cli_check.cmake
 #     requires exit status 2 and a stderr matching EXPECT; with
-#     -DSTATUS=0, exit status 0 and a stdout matching EXPECT (--help);
+#     -DSTATUS=N for any other N, exit status N and a stdout matching
+#     EXPECT (--help exits 0, a failed run 1);
 #   cmake -DTOOL=<binary> -DARGS="<flags>" -DCOMPARE_JOBS=A,B -P cli_check.cmake
 #     requires exit status 0 and the same stdout at --jobs A and --jobs B.
 separate_arguments(args UNIX_COMMAND "${ARGS}")
@@ -36,8 +37,8 @@ if(NOT status EQUAL STATUS)
     message(FATAL_ERROR "exit status '${status}', want ${STATUS}\n"
                         "stdout: ${out}\nstderr: ${err}")
 endif()
-# A rejection speaks on stderr; --help prints the usage to stdout.
-if(STATUS EQUAL 0)
+# A rejection speaks on stderr; a run or --help speaks on stdout.
+if(NOT STATUS EQUAL 2)
     set(err "${out}")
 endif()
 if(NOT err MATCHES "${EXPECT}")
