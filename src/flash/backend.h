@@ -46,7 +46,12 @@ struct FlashOpTiming
      *  senseEnd/xferEnd hold the failure-detection time. */
     bool failed = false;
 
-    sim::Tick total(sim::Tick ready) const { return xferEnd - ready; }
+    /** Time on the die and the channel: sense plus transfer. */
+    sim::Tick
+    flashTime() const
+    {
+        return (senseEnd - senseStart) + (xferEnd - xferStart);
+    }
 };
 
 /**
