@@ -16,14 +16,12 @@ makePlatform(PlatformKind kind)
     auto &f = p.flags;
     switch (kind) {
       case PlatformKind::CC:
-        f.sampling = SamplingLoc::Host;
-        f.pciePageLegs = 1;      // Neighbour-list pages to the host.
+        f.sampling = SamplingLoc::Host; // Neighbour-list pages to the host.
         f.featuresViaHost = true; // Feature pages host -> accel.
         p.ssdCompute = false;
         break;
       case PlatformKind::GLIST:
-        f.sampling = SamplingLoc::Host;
-        f.pciePageLegs = 1; // Sampling still host-side.
+        f.sampling = SamplingLoc::Host; // Sampling still host-side.
         p.ssdCompute = true; // Feature lookup + compute offloaded.
         break;
       case PlatformKind::SmartSage:
