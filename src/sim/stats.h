@@ -117,59 +117,30 @@ class Histogram
         acc = merged(acc, other.acc);
     }
 
-    /**
-     * Percentile estimate for @p p in [0, 100], linear within the
-     * owning bucket and clamped to the observed sample range.
-     *
-     * An empty histogram yields 0. The last bucket is the overflow
-     * bucket (it holds every sample >= its lower edge, however
-     * large), so when the target rank lands there the estimate
-     * interpolates between the bucket's lower edge and the observed
-     * maximum instead of pretending the bucket has `width` extent.
-     */
+    /** Percentile estimate for @p p in [0, 100]: percentiles({p / 100}). */
     double
     percentile(double p) const
     {
-        if (acc.count() == 0)
-            return 0.0;
-        p = std::clamp(p, 0.0, 100.0);
-        double target = p / 100.0 * static_cast<double>(acc.count());
-        if (target <= 0.0)
-            return acc.min();
-        double seen = 0;
-        for (std::size_t i = 0; i < counts.size(); ++i) {
-            if (counts[i] == 0)
-                continue;
-            double next = seen + static_cast<double>(counts[i]);
-            if (next >= target) {
-                double lo = static_cast<double>(i) * width;
-                double frac =
-                    (target - seen) / static_cast<double>(counts[i]);
-                double hi = (i + 1 == counts.size())
-                                ? std::max(acc.max(), lo) // overflow
-                                : lo + width;
-                return std::clamp(lo + frac * (hi - lo), acc.min(),
-                                  acc.max());
-            }
-            seen = next;
-        }
-        return acc.max();
+        return percentiles({p / 100.0})[0];
     }
 
     /**
      * Batch quantile estimates: one bucket walk resolves every
-     * requested quantile, using exactly the percentile() math
-     * (linear interpolation within the owning bucket, overflow bucket
-     * interpolated against the observed maximum, clamped to the
-     * sample range), so `percentiles({q})[0] == percentile(100 * q)`.
+     * requested quantile, linear within the owning bucket and clamped
+     * to the observed sample range. An empty histogram yields 0s.
+     *
+     * The last bucket is the overflow bucket (it holds every sample
+     * >= its lower edge, however large), so when a target rank lands
+     * there the estimate interpolates between the bucket's lower edge
+     * and the observed maximum instead of pretending the bucket has
+     * `width` extent.
      *
      * @param qs Quantiles as fractions in [0, 1] — e.g.
      *           {0.5, 0.99, 0.999} for p50 / p99 / p99.9. Results are
      *           returned in the same order (the input need not be
-     *           sorted). High quantiles stay accurate because the
-     *           walk interpolates within the owning bucket instead of
-     *           returning bucket midpoints: with B buckets the error
-     *           is bounded by one bucket width even at p99.9.
+     *           sorted). High quantiles stay accurate: the walk
+     *           interpolates within the owning bucket, so the error is
+     *           bounded by one bucket width even at p99.9.
      */
     std::vector<double>
     percentiles(const std::vector<double> &qs) const
@@ -217,22 +188,6 @@ class Histogram
         while (next < order.size())
             out[order[next++]] = acc.max();
         return out;
-    }
-
-    /** Approximate quantile (linear within bucket). */
-    double
-    quantile(double q) const
-    {
-        if (acc.count() == 0)
-            return 0.0;
-        double target = q * static_cast<double>(acc.count());
-        double seen = 0;
-        for (std::size_t i = 0; i < counts.size(); ++i) {
-            seen += static_cast<double>(counts[i]);
-            if (seen >= target)
-                return (static_cast<double>(i) + 0.5) * width;
-        }
-        return static_cast<double>(counts.size()) * width;
     }
 
   private:

@@ -182,8 +182,8 @@ TEST(Stats, HistogramQuantiles)
     Histogram h(1.0, 100);
     for (int i = 0; i < 100; ++i)
         h.add(static_cast<double>(i));
-    EXPECT_NEAR(h.quantile(0.5), 50.0, 2.0);
-    EXPECT_NEAR(h.quantile(0.9), 90.0, 2.0);
+    EXPECT_NEAR(h.percentile(50), 50.0, 2.0);
+    EXPECT_NEAR(h.percentile(90), 90.0, 2.0);
 }
 
 TEST(Stats, IntervalTraceMergesContiguous)
