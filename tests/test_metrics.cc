@@ -551,8 +551,11 @@ TEST_F(MetricsGolden, ReserveExactMirrorsTheBundleBlocks)
 // ==================================================================
 // Byte goldens: the FNV-1a-64 digest of the full metrics JSON and of
 // the Chrome trace of every platform, the cache tier on both
-// pipelines and a degraded replicated array. Any change to a command
-// path that moves a single byte of either output fails here.
+// pipelines and three fault gates: a degraded replicated array, a
+// killed single device (the engine's fallback counter) and a die kill
+// on an unreplicated array (the array's fault instruments alone). Any
+// change to a command path that moves a single byte of either output
+// fails here.
 // ==================================================================
 
 std::uint64_t
@@ -571,8 +574,11 @@ struct DigestCase
     const char *name;
     platforms::PlatformKind kind;
     double cacheMB;
-    /** 2 = two devices, replication 2, device 1 killed at 40 us. */
     unsigned devices;
+    /** Replication factor R of the topology. */
+    unsigned replication;
+    /** One `dev[.die]@us` kill spec (nullptr = no fault). */
+    const char *kill;
     std::uint64_t metrics;
     std::uint64_t trace;
 };
@@ -594,10 +600,9 @@ TEST_P(MetricsDigest, JsonAndTraceBytesArePinned)
     platforms::RunConfig rc = run;
     rc.cache.capacityMB = c.cacheMB;
     rc.topology.devices = c.devices;
-    if (c.devices > 1) {
-        rc.topology.replication = 2;
-        rc.kills = {{1, -1, sim::microseconds(40)}};
-    }
+    rc.topology.replication = c.replication;
+    if (c.kill)
+        rc.kills = {*platforms::parseKillEvent(c.kill)};
     sim::TraceSink sink;
     rc.traceSink = &sink;
     MetricRegistry reg;
@@ -617,29 +622,35 @@ TEST_P(MetricsDigest, JsonAndTraceBytesArePinned)
 INSTANTIATE_TEST_SUITE_P(
     PinnedRuns, MetricsDigest,
     ::testing::Values(
-        DigestCase{"CC", platforms::PlatformKind::CC, 0, 1,
-                   0xb139a7bbcabbe48bull, 0x7b7fcb522870e9efull},
-        DigestCase{"CC_Cache4MiB", platforms::PlatformKind::CC, 4, 1,
-                   0x554a4141f578b00eull, 0xe013605359c05a6cull},
-        DigestCase{"GLIST", platforms::PlatformKind::GLIST, 0, 1,
-                   0xdf806a6ea1208035ull, 0xe275e0463c134a7full},
-        DigestCase{"SmartSage", platforms::PlatformKind::SmartSage, 0, 1,
-                   0xf3e76de0429ab1ecull, 0x09a60cda98aae7b4ull},
-        DigestCase{"BG1", platforms::PlatformKind::BG1, 0, 1,
-                   0x165b53526bebf2b6ull, 0x994221477a779e34ull},
-        DigestCase{"BG_SP", platforms::PlatformKind::BG_SP, 0, 1,
-                   0xf58f3d30e3b7bf04ull, 0x57ad288470996528ull},
-        DigestCase{"BG_DG", platforms::PlatformKind::BG_DG, 0, 1,
-                   0xc88d7dac85f2fe7cull, 0x5652964639603977ull},
-        DigestCase{"BG_DGSP", platforms::PlatformKind::BG_DGSP, 0, 1,
-                   0xef3928460d1c76cdull, 0x7256c8362e418a32ull},
-        DigestCase{"BG2", platforms::PlatformKind::BG2, 0, 1,
-                   0x0ec882b6823a6104ull, 0xd123bc7079985507ull},
-        DigestCase{"BG2_Cache4MiB", platforms::PlatformKind::BG2, 4, 1,
-                   0x114718759ef59b69ull, 0x3688ecb66e3f6c9cull},
+        DigestCase{"CC", platforms::PlatformKind::CC, 0, 1, 1,
+                   nullptr, 0xb139a7bbcabbe48bull, 0x7b7fcb522870e9efull},
+        DigestCase{"CC_Cache4MiB", platforms::PlatformKind::CC, 4, 1, 1,
+                   nullptr, 0x554a4141f578b00eull, 0xe013605359c05a6cull},
+        DigestCase{"GLIST", platforms::PlatformKind::GLIST, 0, 1, 1,
+                   nullptr, 0xdf806a6ea1208035ull, 0xe275e0463c134a7full},
+        DigestCase{"SmartSage", platforms::PlatformKind::SmartSage, 0, 1, 1,
+                   nullptr, 0xf3e76de0429ab1ecull, 0x09a60cda98aae7b4ull},
+        DigestCase{"BG1", platforms::PlatformKind::BG1, 0, 1, 1,
+                   nullptr, 0x165b53526bebf2b6ull, 0x994221477a779e34ull},
+        DigestCase{"BG_SP", platforms::PlatformKind::BG_SP, 0, 1, 1,
+                   nullptr, 0xf58f3d30e3b7bf04ull, 0x57ad288470996528ull},
+        DigestCase{"BG_DG", platforms::PlatformKind::BG_DG, 0, 1, 1,
+                   nullptr, 0xc88d7dac85f2fe7cull, 0x5652964639603977ull},
+        DigestCase{"BG_DGSP", platforms::PlatformKind::BG_DGSP, 0, 1, 1,
+                   nullptr, 0xef3928460d1c76cdull, 0x7256c8362e418a32ull},
+        DigestCase{"BG2", platforms::PlatformKind::BG2, 0, 1, 1,
+                   nullptr, 0x0ec882b6823a6104ull, 0xd123bc7079985507ull},
+        DigestCase{"BG2_Cache4MiB", platforms::PlatformKind::BG2, 4, 1, 1,
+                   nullptr, 0x114718759ef59b69ull, 0x3688ecb66e3f6c9cull},
         DigestCase{"BG2_TwoDevicesR2OneKilled",
-                   platforms::PlatformKind::BG2, 0, 2,
-                   0x5bb130c4722f46cbull, 0x959d26a91206cfe7ull}),
+                   platforms::PlatformKind::BG2, 0, 2, 2, "1@40",
+                   0x5bb130c4722f46cbull, 0x959d26a91206cfe7ull},
+        DigestCase{"BG2_OneDeviceKilled",
+                   platforms::PlatformKind::BG2, 0, 1, 1, "0@40",
+                   0xad9b8c6923feaf0full, 0x790d872284f09e76ull},
+        DigestCase{"BG2_FourDevicesDieKill",
+                   platforms::PlatformKind::BG2, 0, 4, 1, "1.3@40",
+                   0x18bce589f90f361bull, 0xdfca6fea1c6b7b8bull}),
     [](const ::testing::TestParamInfo<DigestCase> &tp) {
         return std::string(tp.param.name);
     });
