@@ -69,28 +69,18 @@ struct FabricConfig
     std::uint32_t commandBytes = 16;
     /** Node → primary-owner device table (null/empty = single
      *  device). Replica k of a node is (owner + k) % devices —
-     *  chained declustering, mirroring platforms::Placement. */
+     *  chained declustering, applied by GnnEngine::routeOn. */
     const std::vector<std::uint32_t> *owner = nullptr;
-    /** Replication factor R of the placement (DESIGN.md §17): the
-     *  router may serve a node from any of its R replicas. 1 routes
-     *  every command to the primary — the historical behaviour. */
+    /** Replication factor R of the placement (DESIGN.md §17), already
+     *  clamped to [1, devices] (TopologyConfig::effectiveReplication):
+     *  the router may serve a node from any of its R replicas. 1
+     *  routes every command to the primary — the historical
+     *  behaviour. */
     unsigned replication = 1;
     /** Per-device kill ticks (sim::kTickMax = healthy; null = no kill
      *  schedule). A device is unhealthy for routing decisions made at
      *  or after its kill tick. Borrowed from the platform runner. */
     const std::vector<sim::Tick> *deviceKillAt = nullptr;
-
-    /** Any device scheduled to die? */
-    bool
-    anyDeviceKill() const
-    {
-        if (!deviceKillAt)
-            return false;
-        for (sim::Tick t : *deviceKillAt)
-            if (t != sim::kTickMax)
-                return true;
-        return false;
-    }
 };
 
 /** Per-device byte/command tallies of one mini-batch. */

@@ -20,8 +20,9 @@ DeviceContext::DeviceContext(const PlatformConfig &platform,
       _fw(system),
       _sampler(system.engine, engines::gnnGlobalConfig(model),
                engines::DieSamplerOptions{platform.flags.coalesceSecondary}),
-      _accel(platform.ssdCompute ? accel::ssdAcceleratorConfig()
-                                 : accel::discreteTpuConfig())
+      _accel(platform.flags.featuresViaHost
+                 ? accel::discreteTpuConfig()
+                 : accel::ssdAcceleratorConfig())
 {
     // Mirror the bundle's block reservation in this device's FTL.
     // The layout's addresses are only valid if this FTL reserves the

@@ -114,28 +114,6 @@ Partition::build(const graph::Graph &g, PartitionPolicy policy,
     return p;
 }
 
-Placement
-Placement::build(const graph::Graph &g, PartitionPolicy policy,
-                 unsigned devices, unsigned replication)
-{
-    Placement pl;
-    pl.primary = Partition::build(g, policy, devices);
-    pl._replication =
-        std::max(1u, std::min(replication, devices));
-    return pl;
-}
-
-std::vector<unsigned>
-Placement::replicasOf(graph::NodeId node) const
-{
-    std::vector<unsigned> reps(_replication);
-    const unsigned prim = primary.ownerOf(node);
-    const unsigned ndev = devices();
-    for (unsigned k = 0; k < _replication; ++k)
-        reps[k] = (prim + k) % ndev;
-    return reps;
-}
-
 std::uint64_t
 Partition::degreeSpread() const
 {

@@ -19,10 +19,10 @@
 namespace beacongnn::platforms {
 
 /**
- * Node → device ownership map under a single-owner policy. Retained
- * as the building block (and byte-identity golden) of the replica-
- * aware Placement below: Placement with replication = 1 routes every
- * node exactly where Partition would.
+ * Node → device ownership map under a single-owner policy: the
+ * primary owner of every node. The replicas of a replicated array
+ * (DESIGN.md §17) chain off this owner in the engine's router —
+ * replica k of a node lives on (owner + k) % devices.
  */
 class Partition
 {
@@ -68,84 +68,6 @@ class Partition
     std::vector<std::uint32_t> owners;
     std::vector<std::uint64_t> nodeCount{0};
     std::vector<std::uint64_t> degreeSum{0};
-};
-
-/**
- * Replica-aware placement (DESIGN.md §17): every node is served by
- * 1..R distinct devices. Replica 0 is the policy-assigned primary —
- * the exact Partition owner — and replica k is chained-declustered
- * onto device `(primary + k) % devices`, so consecutive devices back
- * each other up and the loss of one device spreads its load evenly
- * over the next R-1 ring neighbours instead of doubling one victim's.
- *
- * Like Partition, the map is a pure function of
- * (graph, policy, devices, replication); with replication = 1 the
- * replica set of every node is exactly {Partition::ownerOf(node)}, so
- * the degenerate Placement routes byte-identically to the historical
- * single-owner partition by construction.
- */
-class Placement
-{
-  public:
-    /** Degenerate single-device placement (every node on device 0). */
-    Placement() = default;
-
-    /** Build the placement of @p g: a @p policy partition for the
-     *  primaries plus chained-declustered replicas. @p replication is
-     *  clamped to [1, devices]. */
-    static Placement build(const graph::Graph &g, PartitionPolicy policy,
-                           unsigned devices, unsigned replication = 1);
-
-    unsigned devices() const { return primary.devices(); }
-    PartitionPolicy policy() const { return primary.policy(); }
-    unsigned replication() const { return _replication; }
-
-    /** Primary (replica 0) device of @p node. */
-    unsigned primaryOf(graph::NodeId node) const
-    {
-        return primary.ownerOf(node);
-    }
-
-    /** Device of replica @p k of @p node (k < replication()); the
-     *  replicas of one node are pairwise distinct. */
-    unsigned
-    replicaOf(graph::NodeId node, unsigned k) const
-    {
-        return (primary.ownerOf(node) + k) % devices();
-    }
-
-    /** All replica devices of @p node, in replica order (primary
-     *  first). Size = replication(). */
-    std::vector<unsigned> replicasOf(graph::NodeId node) const;
-
-    /** The primary-owner table (empty for a single device); the
-     *  engine derives replica k as (owner + k) % devices. */
-    const std::vector<std::uint32_t> &table() const
-    {
-        return primary.table();
-    }
-
-    /** Nodes whose *primary* is device @p dev. */
-    std::uint64_t nodesOn(unsigned dev) const
-    {
-        return primary.nodesOn(dev);
-    }
-
-    /** Total primary degree on device @p dev. */
-    std::uint64_t degreeOn(unsigned dev) const
-    {
-        return primary.degreeOn(dev);
-    }
-
-    /** Max-over-min primary load spread, in total degree. */
-    std::uint64_t degreeSpread() const
-    {
-        return primary.degreeSpread();
-    }
-
-  private:
-    Partition primary;
-    unsigned _replication = 1;
 };
 
 } // namespace beacongnn::platforms

@@ -18,43 +18,34 @@ makePlatform(PlatformKind kind)
       case PlatformKind::CC:
         f.sampling = SamplingLoc::Host; // Neighbour-list pages to the host.
         f.featuresViaHost = true; // Feature pages host -> accel.
-        p.ssdCompute = false;
         break;
       case PlatformKind::GLIST:
-        f.sampling = SamplingLoc::Host; // Sampling still host-side.
-        p.ssdCompute = true; // Feature lookup + compute offloaded.
+        // Feature lookup + compute offloaded; sampling still host-side.
+        f.sampling = SamplingLoc::Host;
         break;
       case PlatformKind::SmartSage:
         f.sampling = SamplingLoc::Firmware;
         f.featuresViaHost = true; // SSD -> host -> discrete accel.
-        f.idsToHost = true;
-        p.ssdCompute = false;
         break;
       case PlatformKind::BG1:
+        // Inter-hop host translation remains (the hop barrier).
         f.sampling = SamplingLoc::Firmware;
-        f.idsToHost = true;   // Inter-hop host translation remains.
-        p.ssdCompute = true;
         break;
       case PlatformKind::BG_DG:
         f.sampling = SamplingLoc::Firmware;
         f.directGraph = true;
-        p.ssdCompute = true;
         break;
       case PlatformKind::BG_SP:
         f.sampling = SamplingLoc::Die;
-        f.idsToHost = true;
-        p.ssdCompute = true;
         break;
       case PlatformKind::BG_DGSP:
         f.sampling = SamplingLoc::Die;
         f.directGraph = true;
-        p.ssdCompute = true;
         break;
       case PlatformKind::BG2:
         f.sampling = SamplingLoc::Die;
         f.directGraph = true;
         f.hwRouter = true;
-        p.ssdCompute = true;
         break;
     }
     return p;

@@ -35,8 +35,6 @@ struct PlatformConfig
     PlatformKind kind = PlatformKind::CC;
     std::string name;
     engines::PrepFlags flags;
-    /** Compute on the SSD-bus accelerator (vs the discrete TPU). */
-    bool ssdCompute = false;
 };
 
 /** Build the configuration of one platform. */

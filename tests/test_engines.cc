@@ -359,7 +359,6 @@ TEST(GnnEngine, BarrierModeBuildsFullSubgraph)
     EngineRig rig;
     PrepFlags f; // Firmware sampling, no DirectGraph: BG-1.
     f.sampling = SamplingLoc::Firmware;
-    f.idsToHost = true;
     std::vector<graph::NodeId> targets = {1, 2};
     PrepResult pr = rig.run(f, *rig.bytes, targets, 2);
     ASSERT_TRUE(pr.ok);
@@ -494,7 +493,6 @@ TEST(GnnEngineBarrier, BgSpContinuationsMatchSecondaryHits)
     EngineRig rig;
     PrepFlags f;
     f.sampling = SamplingLoc::Die;
-    f.idsToHost = true;
     std::vector<graph::NodeId> targets = {0}; // The hub node.
     PrepResult pr = rig.run(f, *rig.bytes, targets, 4);
     ASSERT_TRUE(pr.ok);
@@ -526,7 +524,8 @@ TEST(GnnEngineBarrier, HostSamplingChargesHostCpu)
     // Host sampling pays per-visit CPU plus per-page I/O overhead;
     // firmware sampling pays neither on the host side.
     EXPECT_GT(h.tally.hostCpuBusy, 2 * w.tally.hostCpuBusy);
-    // Pages crossed PCIe only on the host-sampling platform.
+    // Neighbour-list pages crossed PCIe only on the host-sampling
+    // platform (the firmware one returns just the sampled ids).
     EXPECT_GT(h.tally.pcieBytes, 0u);
 }
 

@@ -1,18 +1,19 @@
 /**
  * @file
- * Tests for the replica-aware placement layer and health-aware fault
- * routing (DESIGN.md §17): chained-declustered replica sets are
- * distinct and clamp correctly, replication = 1 is byte-identical to
- * the historical single-owner Partition, and a replicated array run
- * with a device killed produces byte-identical fingerprints across
- * worker counts — the determinism property extended to faulted runs.
+ * Tests for replica placement and health-aware fault routing
+ * (DESIGN.md §17): the replication factor clamps once, the engine's
+ * router chains a killed primary's commands to the next live replica,
+ * and a replicated array run with a device killed produces
+ * byte-identical fingerprints across worker counts — the determinism
+ * property extended to faulted runs.
  */
 
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <set>
+#include <span>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "graph/dataset.h"
@@ -28,90 +29,20 @@ namespace {
 using namespace beacongnn;
 using platforms::Partition;
 using platforms::PartitionPolicy;
-using platforms::Placement;
 
-graph::Graph
-testGraph(graph::NodeId nodes = 1500)
+TEST(TopologyConfig, ReplicationClampsToDeviceCount)
 {
-    auto spec = graph::workload("amazon");
-    spec.simNodes = nodes;
-    return spec.makeGraph();
-}
-
-const std::vector<PartitionPolicy> kPolicies = {
-    PartitionPolicy::Hash, PartitionPolicy::Range,
-    PartitionPolicy::Balanced};
-
-// ==================================================================
-// Placement: replica structure.
-// ==================================================================
-
-TEST(Placement, ReplicasDistinctAndChained)
-{
-    auto g = testGraph();
-    for (PartitionPolicy pol : kPolicies) {
-        for (unsigned r : {2u, 3u}) {
-            Placement pl = Placement::build(g, pol, 4, r);
-            Partition pa = Partition::build(g, pol, 4);
-            ASSERT_EQ(pl.replication(), r);
-            for (graph::NodeId v = 0; v < g.numNodes(); ++v) {
-                std::vector<unsigned> reps = pl.replicasOf(v);
-                ASSERT_EQ(reps.size(), r);
-                // Replica 0 is the policy-assigned primary.
-                ASSERT_EQ(reps[0], pa.ownerOf(v));
-                ASSERT_EQ(reps[0], pl.primaryOf(v));
-                std::set<unsigned> distinct(reps.begin(), reps.end());
-                ASSERT_EQ(distinct.size(), r) << "node " << v;
-                for (unsigned k = 0; k < r; ++k)
-                    ASSERT_EQ(reps[k], (pa.ownerOf(v) + k) % 4u);
-            }
-        }
-    }
-}
-
-TEST(Placement, ReplicationClampsToDeviceCount)
-{
-    auto g = testGraph(400);
-    // 0 clamps up to 1; anything beyond the device count clamps down.
-    EXPECT_EQ(
-        Placement::build(g, PartitionPolicy::Hash, 4, 0).replication(),
-        1u);
-    EXPECT_EQ(
-        Placement::build(g, PartitionPolicy::Hash, 4, 99).replication(),
-        4u);
-}
-
-TEST(Placement, SingleDeviceIsDegenerate)
-{
-    auto g = testGraph(400);
-    Placement pl = Placement::build(g, PartitionPolicy::Hash, 1, 3);
-    EXPECT_EQ(pl.replication(), 1u);
-    EXPECT_TRUE(pl.table().empty());
-    EXPECT_EQ(pl.primaryOf(0), 0u);
-    std::vector<unsigned> want = {0};
-    EXPECT_EQ(pl.replicasOf(g.numNodes() - 1), want);
-}
-
-// ==================================================================
-// Placement: replication = 1 is the historical Partition.
-// ==================================================================
-
-TEST(Placement, ReplicationOneMatchesPartitionByteForByte)
-{
-    auto g = testGraph();
-    for (PartitionPolicy pol : kPolicies) {
-        Placement pl = Placement::build(g, pol, 4, 1);
-        Partition pa = Partition::build(g, pol, 4);
-        // The engine routes off table(); identical tables mean the
-        // degenerate placement routes byte-identically.
-        EXPECT_EQ(pl.table(), pa.table())
-            << platforms::partitionPolicyName(pol);
-        EXPECT_EQ(pl.degreeSpread(), pa.degreeSpread());
-        for (unsigned d = 0; d < 4; ++d) {
-            EXPECT_EQ(pl.nodesOn(d), pa.nodesOn(d));
-            EXPECT_EQ(pl.degreeOn(d), pa.degreeOn(d));
-        }
-    }
+    // The one clamp of R: 0 clamps up to 1, anything beyond the device
+    // count clamps down, and a single device has no replica.
+    platforms::TopologyConfig topo;
+    topo.devices = 4;
+    topo.replication = 0;
+    EXPECT_EQ(topo.effectiveReplication(), 1u);
+    topo.replication = 99;
+    EXPECT_EQ(topo.effectiveReplication(), 4u);
+    topo.devices = 1;
+    topo.replication = 3;
+    EXPECT_EQ(topo.effectiveReplication(), 1u);
 }
 
 // ==================================================================
@@ -141,6 +72,8 @@ struct FaultRig
         std::string json, csv, trace;
         std::uint64_t fallbacks = 0;
         bool ok = false;
+        /** The run's metrics, for identity checks. */
+        sim::MetricRegistry reg;
 
         bool
         operator==(const Fingerprint &o) const
@@ -159,15 +92,14 @@ struct FaultRig
         platforms::RunConfig traced = rc;
         traced.traceSink = &sink;
         traced.topology = topo;
-        sim::MetricRegistry reg;
+        Fingerprint fp;
         auto r = platforms::runPlatform(
             platforms::makePlatform(platforms::PlatformKind::BG2), traced,
-            *bundle, &reg);
-        Fingerprint fp;
+            *bundle, &fp.reg);
         fp.ok = r.ok;
         fp.fallbacks = r.replicaFallbacks;
         std::ostringstream json, csv, trace;
-        reg.writeJson(json);
+        fp.reg.writeJson(json);
         platforms::writeCsvRow(csv, r);
         sink.write(trace);
         fp.json = json.str();
@@ -176,6 +108,55 @@ struct FaultRig
         return fp;
     }
 };
+
+// ==================================================================
+// Replica routing: chained declustering as GnnEngine runs it.
+// ==================================================================
+
+TEST(ReplicaRouting, KilledPrimaryChainsToTheNextLiveReplica)
+{
+    // A zero-hop target is exactly one command, on whichever device
+    // the engine's router picks. This target's Partition owner is
+    // device 1, so its replica k lives on device (1 + k) % 4.
+    FaultRig rig;
+    const Partition part =
+        Partition::build(rig.bundle->graph, PartitionPolicy::Hash, 4);
+    graph::NodeId target = 0;
+    while (part.ownerOf(target) != 1)
+        ++target;
+    gnn::ModelSpec retrieval = rig.bundle->model;
+    retrieval.hops = 0;
+    retrieval.fanouts.clear();
+
+    struct Case
+    {
+        unsigned replication;
+        std::vector<unsigned> killed;
+        unsigned runsOn;
+        std::uint64_t fallbacks;
+    };
+    for (const Case &c : {Case{2, {1}, 2, 1}, Case{3, {1, 2}, 3, 1},
+                          Case{1, {}, 1, 0}}) {
+        platforms::RunConfig rc = rig.rc;
+        rc.model = retrieval;
+        rc.topology.devices = 4;
+        rc.topology.replication = c.replication;
+        for (unsigned d : c.killed)
+            rc.kills.push_back(platforms::KillEvent{d, -1, 0});
+        platforms::PlatformSession session(
+            platforms::makePlatform(platforms::PlatformKind::BG2), rc,
+            *rig.bundle);
+        session.runBatch(0, std::span<const graph::NodeId>(&target, 1));
+        const platforms::RunResult r = session.finish();
+        const std::string what = "R = " + std::to_string(c.replication);
+        ASSERT_TRUE(r.ok) << what;
+        ASSERT_EQ(r.commands, 1u) << what;
+        for (unsigned d = 0; d < 4; ++d)
+            EXPECT_EQ(r.perDevice[d].commands, d == c.runsOn ? 1u : 0u)
+                << what << ", device " << d;
+        EXPECT_EQ(r.replicaFallbacks, c.fallbacks) << what;
+    }
+}
 
 TEST(KillSpec, ParsesDeviceAndDieSpecs)
 {
@@ -233,6 +214,23 @@ TEST(FaultDeterminism, KilledDeviceReroutesIdenticallyAcrossJobs)
     EXPECT_NE(j1.json.find("engine.router.replica_fallbacks"),
               std::string::npos);
     EXPECT_NE(j1.json.find("health.alive"), std::string::npos);
+    // Conservation identities, true by construction: one session total
+    // feeds both fallback counters, and the per-device forwards feed
+    // every cross-device count.
+    auto counter = [&j1](const std::string &name) -> std::uint64_t {
+        const sim::Counter *c = j1.reg.findCounter(name);
+        EXPECT_NE(c, nullptr) << name;
+        return c ? c->value() : 0;
+    };
+    EXPECT_EQ(counter("engine.router.replica_fallbacks"),
+              counter("array.replica_fallbacks"));
+    std::uint64_t out_forwards = 0;
+    for (unsigned d = 0; d < topo.devices; ++d)
+        out_forwards += counter("array.dev" + std::to_string(d) +
+                                ".p2p.out_forwards");
+    EXPECT_GT(out_forwards, 0u);
+    EXPECT_EQ(counter("array.cross_device"), counter("array.p2p.forwards"));
+    EXPECT_EQ(counter("array.p2p.forwards"), out_forwards);
 }
 
 TEST(FaultDeterminism, UnreplicatedKillFailsDeterministically)

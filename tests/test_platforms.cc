@@ -57,23 +57,20 @@ TEST(PlatformPresets, FeatureMatrix)
     auto cc = makePlatform(PlatformKind::CC);
     EXPECT_EQ(cc.flags.sampling, SamplingLoc::Host);
     EXPECT_FALSE(cc.flags.directGraph);
-    EXPECT_FALSE(cc.ssdCompute);
     EXPECT_TRUE(cc.flags.featuresViaHost);
 
     auto glist = makePlatform(PlatformKind::GLIST);
     EXPECT_EQ(glist.flags.sampling, SamplingLoc::Host);
-    EXPECT_TRUE(glist.ssdCompute);
     EXPECT_FALSE(glist.flags.featuresViaHost);
 
     auto smart = makePlatform(PlatformKind::SmartSage);
     EXPECT_EQ(smart.flags.sampling, SamplingLoc::Firmware);
     EXPECT_TRUE(smart.flags.featuresViaHost);
-    EXPECT_TRUE(smart.flags.idsToHost);
 
     auto bg1 = makePlatform(PlatformKind::BG1);
     EXPECT_EQ(bg1.flags.sampling, SamplingLoc::Firmware);
     EXPECT_FALSE(bg1.flags.directGraph);
-    EXPECT_TRUE(bg1.ssdCompute);
+    EXPECT_FALSE(bg1.flags.featuresViaHost);
 
     auto dg = makePlatform(PlatformKind::BG_DG);
     EXPECT_TRUE(dg.flags.directGraph);
