@@ -16,11 +16,11 @@
  *     past the in-storage pipeline (it narrows the gap on hot
  *     traffic; the crossover line reports where, if anywhere, the
  *     p99 curves cross).
- *
- * Wall-clock lands in results/bench_timing.json via the shared hook.
  */
 
 #include "common.h"
+
+#include <fstream>
 
 #include "cache/vertex_cache.h"
 #include "serve/serve.h"
@@ -73,7 +73,6 @@ main(int argc, char **argv)
 {
     parseJobs(argc, argv);
     std::filesystem::create_directories("results");
-    TimingLog timing("cache_sweep");
 
     const std::vector<double> thetas = {0.6, 0.9, 1.2};
     const std::vector<double> sizes = {16.0, 64.0};
@@ -87,7 +86,6 @@ main(int argc, char **argv)
 
     // ---- Part 1: offline prep hit rate and sense savings -----------
     banner("Cache sweep 1/2: BG-2 prep, hit rate and sense savings");
-    Stopwatch sw;
 
     // Grid rows: per theta, the cache-less baseline plus every
     // (policy, size) point.
@@ -106,7 +104,6 @@ main(int argc, char **argv)
     auto prep = parallelMap<PrepPoint>(cells.size(), [&](std::size_t i) {
         return runPrep(cells[i].policy, cells[i].theta, cells[i].mb);
     });
-    timing.section("prep_grid", sw.seconds());
 
     std::printf("%-8s %6s %9s %9s %12s %13s\n", "policy", "theta",
                 "cache_mb", "hit_rate", "flash_reads", "sense_savings");
@@ -150,7 +147,6 @@ main(int argc, char **argv)
     sc.policy.maxBatch = 32;
     sc.policy.timeout = beacongnn::sim::microseconds(200);
 
-    sw.restart();
     const std::size_t nr = rates.size();
     const std::size_t per_theta = 2 * nr; // CC+cache, then BG-2.
     auto serve_results = parallelMap<ServeResult>(
@@ -170,7 +166,6 @@ main(int argc, char **argv)
                                            : PlatformKind::BG2),
                 rc, bundle(kWorkload), point);
         });
-    timing.section("serve_grid", sw.seconds());
 
     for (std::size_t t = 0; t < thetas.size(); ++t) {
         std::printf("\ntheta %.2f   %10s %12s %12s\n", thetas[t],
@@ -202,6 +197,5 @@ main(int argc, char **argv)
     }
 
     std::printf("\nWrote results/cache_sweep.csv\n");
-    timing.write();
     return 0;
 }

@@ -7,7 +7,6 @@
  *   results/fig14_runs.csv     — one row per (platform, workload)
  *   results/fig15_series.csv   — utilization time series
  *   results/sec7e_runs.csv     — the 20 us SSD grid
- *   results/bench_timing.json  — simulator wall-clock self-timing
  *
  * The grids run in parallel (--jobs N / BGN_JOBS, default = cores);
  * results are collected in submission order so the CSVs are byte-
@@ -29,10 +28,7 @@ main(int argc, char **argv)
     parseJobs(argc, argv);
     std::filesystem::create_directories("results");
 
-    TimingLog timing("export_results");
-
     {
-        Stopwatch sw;
         std::ofstream runs("results/fig14_runs.csv");
         std::ofstream series("results/fig15_series.csv");
         platforms::writeCsvHeader(runs);
@@ -46,11 +42,9 @@ main(int argc, char **argv)
             platforms::writeSeriesCsv(series, r);
             std::printf("%s\n", platforms::summaryLine(r).c_str());
         }
-        timing.section("fig14_grid", sw.seconds());
     }
 
     {
-        Stopwatch sw;
         std::ofstream runs("results/sec7e_runs.csv");
         platforms::writeCsvHeader(runs);
         RunConfig rc = defaultRun();
@@ -60,13 +54,9 @@ main(int argc, char **argv)
             kinds.push_back(k);
         for (const RunResult &r : runGrid(kinds, workloadNames(), rc))
             platforms::writeCsvRow(runs, r);
-        timing.section("sec7e_grid", sw.seconds());
     }
 
-    timing.write();
-
     std::printf("\nWrote results/fig14_runs.csv, "
-                "results/fig15_series.csv, results/sec7e_runs.csv, "
-                "results/bench_timing.json\n");
+                "results/fig15_series.csv, results/sec7e_runs.csv\n");
     return 0;
 }

@@ -16,6 +16,8 @@
 
 #include "common.h"
 
+#include <fstream>
+
 #include "serve/serve.h"
 
 using namespace bench;
@@ -55,8 +57,6 @@ main(int argc, char **argv)
 {
     parseJobs(argc, argv);
     banner("Fault tail: replication x disturbance under a device kill");
-    TimingLog timing("fault_tail");
-    Stopwatch sw;
 
     const auto &b = bundle("amazon");
     const std::vector<unsigned> reps = {1, 2, 3};
@@ -76,7 +76,6 @@ main(int argc, char **argv)
                                   retry_probs[(i - 1) % nf], true);
             return serve::serveWorkload(platform(), rc, b, sc);
         });
-    timing.section("grid", sw.seconds());
 
     const serve::ServeResult &base = results[0];
     std::printf("fault-free baseline: %.0f req/s, p99.9 %.2f ms\n\n",
@@ -122,6 +121,5 @@ main(int argc, char **argv)
                 "instant are lost at any replication factor\n(an "
                 "ok=NO cell with R >= 2 is that in-flight loss, not a "
                 "routing gap).\n");
-    timing.write();
     return 0;
 }

@@ -9,11 +9,11 @@
  * convergence and frontier-read throughput over the same in-storage
  * session, so the speedup story carries from GNN inference to
  * classical graph analytics.
- *
- * Wall-clock lands in results/bench_timing.json via the shared hook.
  */
 
 #include "common.h"
+
+#include <fstream>
 
 #include "platforms/algo_runner.h"
 #include "sim/metrics.h"
@@ -47,8 +47,6 @@ int
 main(int argc, char **argv)
 {
     parseJobs(argc, argv);
-    TimingLog timing("model_zoo");
-    Stopwatch watch;
     banner("Model zoo: GNN kinds and vertex programs x platforms");
 
     RunConfig rc = defaultRun();
@@ -102,8 +100,6 @@ main(int argc, char **argv)
             << sim::toMicros(p.r.totalTime) << ',' << p.r.throughput
             << ',' << p.macs << ',' << p.edgeOps << ",,,\n";
     }
-    timing.section("models", watch.seconds());
-    watch.restart();
     rule();
 
     // ---- Vertex programs ------------------------------------------
@@ -133,12 +129,10 @@ main(int argc, char **argv)
             << r.throughput << ",,," << r.iterations << ','
             << (r.converged ? 1 : 0) << ',' << r.checksum << '\n';
     }
-    timing.section("algos", watch.seconds());
     rule();
     std::printf("Shape targets: BG-2 beats CC on every model kind and "
                 "every vertex program;\ngin/gat add compute but keep "
                 "the in-storage sampling advantage.\n");
     std::printf("wrote results/model_zoo.csv\n");
-    timing.write();
     return 0;
 }

@@ -12,6 +12,7 @@
 #include "common.h"
 
 #include <algorithm>
+#include <fstream>
 
 using namespace bench;
 
@@ -20,8 +21,6 @@ main(int argc, char **argv)
 {
     parseJobs(argc, argv);
     banner("Scale-out: BeaconGNN computational storage array (#VIII)");
-    TimingLog timing("scaleout_array");
-    Stopwatch sw;
 
     const auto &b = bundle("amazon");
     RunConfig rc = defaultRun();
@@ -35,65 +34,24 @@ main(int argc, char **argv)
         platforms::PartitionPolicy::Balanced};
     const std::size_t np = policies.size();
 
-    // Each cell records its own wall-clock alongside the result, so
-    // results/bench_timing.json carries a per-cell breakdown (the
-    // grid runs concurrently; per-cell seconds are real time inside
-    // one cell, not a share of the grid wall-clock).
     const platforms::PlatformConfig bg2 =
         platforms::makePlatform(PlatformKind::BG2);
-    struct Cell
-    {
-        RunResult res;
-        double seconds = 0.0;
-    };
-    auto results = parallelMap<Cell>(
+    auto results = parallelMap<RunResult>(
         device_counts.size() * np, [&](std::size_t i) {
-            Stopwatch cell_sw;
             RunConfig cell = rc;
             cell.topology.devices = device_counts[i / np];
             cell.topology.partition = policies[i % np];
-            Cell c;
-            c.res = runPlatform(bg2, cell, b);
-            c.seconds = cell_sw.seconds();
-            return c;
+            return runPlatform(bg2, cell, b);
         });
-    timing.section("grid", sw.seconds());
-    for (std::size_t i = 0; i < results.size(); ++i) {
-        timing.section("cell_dev" +
-                           std::to_string(device_counts[i / np]) + "_" +
-                           platforms::partitionPolicyName(
-                               policies[i % np]),
-                       results[i].seconds);
-    }
-
-    // Intra-run parallelism: the 8-device cell again, first with the
-    // device queues serialized and then on the configured worker
-    // count — the bench_timing.json pair quantifies the conservative
-    // parallel simulator's wall-clock gain on this host.
-    {
-        RunConfig dev8 = rc;
-        dev8.topology.devices = 8;
-        dev8.topology.partition = platforms::PartitionPolicy::Hash;
-        const unsigned saved = sim::SimExecutor::defaultJobs();
-        sim::SimExecutor::setDefaultJobs(1);
-        Stopwatch j1;
-        runPlatform(bg2, dev8, b);
-        timing.section("dev8_jobs1", j1.seconds());
-        sim::SimExecutor::setDefaultJobs(saved);
-        Stopwatch jn;
-        runPlatform(bg2, dev8, b);
-        timing.section("dev8_jobs" + std::to_string(saved),
-                       jn.seconds());
-    }
 
     for (std::size_t p = 0; p < np; ++p) {
         std::printf("\npartition: %s\n",
                     platforms::partitionPolicyName(policies[p]));
         std::printf("%8s %14s %10s %14s %12s\n", "devices",
                     "targets/s", "speedup", "cross-device", "p2p-frac");
-        double base = results[p].res.throughput; // devices=1, policy p.
+        double base = results[p].throughput; // devices=1, policy p.
         for (std::size_t d = 0; d < device_counts.size(); ++d) {
-            const auto &r = results[d * np + p].res;
+            const auto &r = results[d * np + p];
             std::printf("%8u %14.0f %9.2fx %14llu %11.1f%%\n",
                         device_counts[d], r.throughput,
                         r.throughput / base,
@@ -107,7 +65,7 @@ main(int argc, char **argv)
     csv << "devices,partition,throughput,commands,cross_device,"
            "cross_fraction,min_dev_commands,max_dev_commands\n";
     for (std::size_t i = 0; i < results.size(); ++i) {
-        const auto &r = results[i].res;
+        const auto &r = results[i];
         std::uint64_t lo = r.commands, hi = 0;
         for (const engines::DeviceTally &t : r.perDevice) {
             lo = std::min(lo, t.commands);
@@ -126,6 +84,5 @@ main(int argc, char **argv)
     std::printf("\nPaper projection: capacity and compute scale "
                 "linearly with devices; the\nP2P command descriptors "
                 "are small, so forwarding does not erode the gain.\n");
-    timing.write();
     return 0;
 }

@@ -6,9 +6,7 @@
  * rates on both platforms and prints, per platform, the throughput,
  * mean/p50/p95/p99 latency and SLO-violation curve — showing where
  * each platform saturates. The same rows land in
- * results/serve_latency.csv for external plotting, and the binary's
- * wall-clock lands in results/bench_timing.json via the shared
- * timing hook.
+ * results/serve_latency.csv for external plotting.
  *
  * The paper evaluates offline throughput only; this is the serving
  * view of the same hardware gap: CC's host-centric prep path caps
@@ -17,6 +15,8 @@
  */
 
 #include "common.h"
+
+#include <fstream>
 
 #include "serve/report.h"
 #include "serve/serve.h"
@@ -29,7 +29,6 @@ main(int argc, char **argv)
 {
     parseJobs(argc, argv);
     std::filesystem::create_directories("results");
-    TimingLog timing("serve_latency");
 
     banner("Serving: latency vs offered load, amazon, CC vs BG-2");
 
@@ -47,7 +46,6 @@ main(int argc, char **argv)
     RunConfig rc = defaultRun();
     const WorkloadBundle &b = bundle("amazon");
 
-    Stopwatch sw;
     const std::size_t nr = rates.size();
     auto results = parallelMap<ServeResult>(
         kinds.size() * nr, [&](std::size_t i) {
@@ -56,7 +54,6 @@ main(int argc, char **argv)
             return serveWorkload(platforms::makePlatform(kinds[i / nr]),
                                  rc, b, point);
         });
-    timing.section("serve_grid", sw.seconds());
 
     std::ofstream csv("results/serve_latency.csv");
     writeServeCsvHeader(csv);
@@ -86,7 +83,6 @@ main(int argc, char **argv)
                 "open-loop queue grows without bound and tail\n"
                 "latency is set by the backlog, not the pipeline.\n");
     std::printf("Wrote results/serve_latency.csv\n");
-    timing.write();
 
     // The serving claim of the whole exercise: the in-storage
     // pipeline sustains strictly more open-loop load than the
