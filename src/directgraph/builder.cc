@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <string>
 
 #include "sim/log.h"
 #include "sim/ordered.h"
@@ -218,6 +219,16 @@ buildLayout(const graph::Graph &g, const graph::FeatureTable &features,
         std::uint32_t size = primarySectionBytes(
             static_cast<std::uint32_t>(plan.secondaryCounts.size()),
             feat_bytes, plan.inPage);
+        // A hub's secondary references alone can outgrow its primary
+        // section: no layout exists at this page size.
+        if (size > cfg.pageSize)
+            sim::fatal("DirectGraph build: node " + std::to_string(v) +
+                       " needs a " + std::to_string(size) +
+                       "-byte primary section for its " +
+                       std::to_string(plan.secondaryCounts.size()) +
+                       " secondary references, more than the " +
+                       std::to_string(cfg.pageSize) +
+                       "-byte flash page");
         layout.nodes[v].primary =
             primary_packer.place(v, SectionType::Primary, size, 0);
     }

@@ -301,6 +301,29 @@ TEST(Builder, ExhaustedBlockListIsFatal)
         { buildLayout(g, feat, cfg, one_block); }, "exhausted");
 }
 
+TEST(Builder, HubOverflowingItsPrimaryIsFatal)
+{
+    // At 1 KiB pages a 30000-neighbour hub needs 120 secondary
+    // references: 960 bytes that, with the header and the feature,
+    // overflow its one-page primary section. The build exits 1 with a
+    // message, not an abort.
+    flash::FlashConfig cfg = smallFlash();
+    cfg.pageSize = 1024;
+    std::vector<std::vector<graph::NodeId>> adj(50);
+    for (graph::NodeId i = 0; i < 30000; ++i)
+        adj[0].push_back(1 + (i % 49));
+    for (graph::NodeId v = 1; v < 50; ++v)
+        adj[v] = {0};
+    graph::Graph g(adj);
+    graph::FeatureTable feat(64, 1);
+    auto blocks = reserve(cfg, 64);
+    EXPECT_EXIT({ buildLayout(g, feat, cfg, blocks); },
+                ::testing::ExitedWithCode(1),
+                "node 0 needs a 1104-byte primary section for its 120 "
+                "secondary references, more than the 1024-byte flash "
+                "page");
+}
+
 TEST(Verifier, AcceptsOwnPagesRejectsForeign)
 {
     flash::FlashConfig cfg = smallFlash();

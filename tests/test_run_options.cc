@@ -198,6 +198,8 @@ TEST(RunOptions, MalformedValuesNameTheirFlag)
         {false, {"--fanout", "256"}, "bad --fanout '256' ("},
         {false, {"--p2p-latency-us", "0.5"}, "bad --p2p-latency-us '0.5' ("},
         {false, {"--batches", "abc"}, "bad --batches 'abc' ("},
+        {false, {"--dies", "0"}, "bad --dies '0' ("},
+        {false, {"--channels", "0"}, "bad --channels '0' ("},
         {true, {"--timeout-us", "abc"}, "bad --timeout-us 'abc' ("},
         {true, {"--slo-ms", "abc,1,2"}, "bad --slo-ms 'abc' ("},
         {true, {"--tenants", "abc"}, "bad --tenants 'abc' ("},
@@ -322,6 +324,11 @@ TEST(RunOptions, CrossFlagChecks)
     SimOptions o;
     ASSERT_EQ(parseSim(o, {"bgnsim", "--devices", "0"}).error, "");
     EXPECT_EQ(check(o), "--devices must be >= 1");
+
+    o = SimOptions();
+    ASSERT_EQ(parseSim(o, {"bgnsim", "--devices", "257"}).error, "");
+    EXPECT_EQ(check(o),
+              "--devices must be <= 256 (the engine's device limit)");
 
     o = SimOptions();
     ASSERT_EQ(parseSim(o, {"bgnsim", "--replication", "0"}).error, "");

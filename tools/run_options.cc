@@ -134,9 +134,9 @@ sharedFlags(RunOptions &o)
         {"--nodes", "N", "override the workload's node count",
          natural(o.nodes)},
         {"--channels", "N", "flash channels per SSD (default 16)",
-         natural(rc.system.flash.channels)},
+         natural(rc.system.flash.channels, 1, 1)},
         {"--dies", "N", "dies per channel (default 8)",
-         natural(rc.system.flash.diesPerChannel)},
+         natural(rc.system.flash.diesPerChannel, 1, 1)},
         {kDevices, "N", "SSDs in a scale-out array (default 1; >1 needs a "
                         "streaming platform)",
          natural(rc.topology.devices)},
@@ -236,6 +236,10 @@ check(const RunOptions &o, std::size_t points)
     const platforms::TopologyConfig &t = o.run.topology;
     if (t.devices == 0)
         return std::string(kDevices) + " must be >= 1";
+    if (t.devices > engines::GnnEngine::kMaxDevices)
+        return std::string(kDevices) + " must be <= " +
+               std::to_string(engines::GnnEngine::kMaxDevices) +
+               " (the engine's device limit)";
     if (t.replication == 0)
         return std::string(kReplication) + " must be >= 1";
     for (const platforms::KillEvent &k : o.run.kills)
