@@ -135,8 +135,6 @@ class FlashBackend
      * die only for the command cycles that discover the failure.
      */
     void killDieAt(unsigned global_idx, sim::Tick at);
-    /** Any die kill scheduled (regardless of whether it fired)? */
-    bool hasDieKills() const { return _hasKills; }
 
     /** Read-retry rounds performed so far (all dies). */
     std::uint64_t retries() const { return _retries; }

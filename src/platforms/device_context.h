@@ -84,9 +84,6 @@ class DeviceContext
     /** Outbound P2P port (nullptr on a single device). */
     sim::BandwidthResource *p2pOut() { return _p2p.get(); }
     const sim::BandwidthResource *p2pOut() const { return _p2p.get(); }
-    /** Device-DRAM cache tier (nullptr when the run disables it). */
-    cache::VertexCache *vertexCache() { return _cache.get(); }
-    const cache::VertexCache *vertexCache() const { return _cache.get(); }
     /** This device's cache tallies (zeros when the tier is off). */
     cache::CacheStats cacheStats() const
     {

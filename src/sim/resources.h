@@ -124,9 +124,6 @@ class Bus
     {
     }
 
-    /** Enable/disable busy-interval tracing. */
-    void setTracing(bool on) { tracing = on; }
-
     /** Acquire the bus at or after @p ready for @p service ticks. */
     Grant
     acquire(Tick ready, Tick service)
@@ -206,10 +203,6 @@ class BandwidthResource
         : rate(mbytes_per_s), label(std::move(name))
     {
     }
-
-    /** Change the modelled bandwidth (sensitivity sweeps). */
-    void setRate(double mbytes_per_s) { rate = mbytes_per_s; }
-    double rateMBps() const { return rate; }
 
     /** Transfer @p bytes beginning no earlier than @p ready. */
     Grant

@@ -60,8 +60,6 @@ class Firmware
     sim::ServerPool &issueCores() { return _issueCores; }
     /** Cores running the completion / scheduler threads. */
     sim::ServerPool &completeCores() { return _completeCores; }
-    /** Host CPU threads issuing block I/O (CC-style access path). */
-    sim::ServerPool &hostIo() { return _hostIo; }
     sim::BandwidthResource &dram() { return _dram; }
     sim::BandwidthResource &pcie() { return _pcie; }
     Ftl &ftl() { return _ftl; }
