@@ -11,9 +11,9 @@
  * secondary refs, feature vector, neighbour addresses — and flush it
  * to its PPA (materialize()).
  *
- * Placement uses a bounded best-fit open-page pool, implementing the
- * paper's "linked array" compaction of small primary sections into
- * shared pages.
+ * Section placement uses a bounded best-fit open-page pool,
+ * implementing the paper's "linked array" compaction of small primary
+ * sections into shared pages.
  */
 
 #ifndef BEACONGNN_DIRECTGRAPH_BUILDER_H
