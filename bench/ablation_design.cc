@@ -111,11 +111,7 @@ stripingAblation()
         sim::Pcg32 rng(1);
         for (auto &t : targets)
             t = rng.below(g.numNodes());
-        engines::PrepResult pr;
-        engine.prepare(0, 0, targets,
-                       [&](engines::PrepResult &&r) { pr = std::move(r); });
-        dev.queue().run();
-        engine.completePrepared();
+        engines::PrepResult pr = engine.run(0, 0, targets);
 
         std::printf("stripe %-9s dies touched %4zu / %u   prep "
                     "%8.2f ms\n",

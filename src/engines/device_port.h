@@ -63,7 +63,15 @@ struct DevicePort
 /** Inter-device fabric parameters of an array run. */
 struct FabricConfig
 {
-    /** P2P link hop latency added after the descriptor transfer. */
+    /**
+     * P2P link hop latency added after the descriptor transfer. It is
+     * also the conservative-DES lookahead of an array (DESIGN.md §13):
+     * a device cannot affect a neighbour sooner than one hop, so it
+     * bounds how far the device clocks may advance independently in
+     * one synchronization window. Zero is legal — the driver degrades
+     * to serialized single-timestamp windows (deterministic, just not
+     * concurrent).
+     */
     sim::Tick p2pLatency = 0;
     /** Forwarded command descriptor size (bytes on the link). */
     std::uint32_t commandBytes = 16;

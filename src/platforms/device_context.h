@@ -61,18 +61,9 @@ class DeviceContext
                   bool trace_utilization,
                   const cache::CacheConfig &cache_cfg = {});
 
-    /** Engine-facing view of this device's hardware. */
+    /** Engine-facing view of this device's hardware, including its
+     *  own event queue, which the engine's driver runs. */
     engines::DevicePort port();
-
-    /**
-     * This device's own event queue and local clock. Since PR 6 every
-     * device of the topology advances on its own queue under the
-     * conservative parallel simulator; a single-device run simply
-     * runs this one queue to completion, which is the historical
-     * sequential simulator.
-     */
-    sim::EventQueue &queue() { return _queue; }
-    const sim::EventQueue &queue() const { return _queue; }
 
     flash::FlashBackend &backend() { return _backend; }
     const flash::FlashBackend &backend() const { return _backend; }
@@ -106,17 +97,6 @@ class DeviceContext
 
     /** Attach a Chrome-trace sink on this device's pid range. */
     void setTraceSink(sim::TraceSink *sink, bool multi);
-
-    /**
-     * Attach the checked-build validator (DESIGN.md §16): registers
-     * this device's queue as station `index()`'s local clock so every
-     * schedule/pop is causality- and ownership-checked. Nullptr
-     * detaches; OFF builds compile the checks out.
-     */
-    void setValidator(sim::Validator *v)
-    {
-        _queue.setValidator(v, _index);
-    }
 
   private:
     unsigned _index;

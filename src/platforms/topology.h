@@ -52,16 +52,6 @@ struct TopologyConfig
     {
         return std::max(1u, std::min(replication, devices));
     }
-
-    /**
-     * Conservative-DES lookahead of the fabric (DESIGN.md §13): a
-     * device cannot affect a neighbour sooner than one P2P hop, so
-     * the link latency bounds how far the per-device clocks may
-     * advance independently within one synchronization window. Zero
-     * is legal — the parallel simulator degrades to serialized
-     * single-timestamp windows (deterministic, just not concurrent).
-     */
-    sim::Tick lookahead() const { return p2pLatency; }
 };
 
 /** Short display name ("hash", "range", "balanced"). */

@@ -53,50 +53,25 @@ ParallelSimulator::windowLimit(Tick floor) const
 }
 
 Tick
-ParallelSimulator::runSerial()
+ParallelSimulator::run()
 {
-    for (;;) {
-        Tick floor = deliverAndFloor();
-        if (floor == kTickMax)
-            break;
-        Tick limit = windowLimit(floor);
-        ++_windows;
-        if constexpr (kCheckedBuild) {
-            if (_validator)
-                _validator->windowOpen(floor, limit);
-        }
-        for (std::size_t s = 0; s < _stations.size(); ++s) {
-            if constexpr (kCheckedBuild) {
-                if (_validator)
-                    _validator->claimStation(
-                        static_cast<unsigned>(s));
-            }
-            _stations[s].queue->runUntil(limit);
-            if constexpr (kCheckedBuild) {
-                if (_validator)
-                    _validator->releaseStation(
-                        static_cast<unsigned>(s));
-            }
-        }
-        if constexpr (kCheckedBuild) {
-            if (_validator)
-                _validator->windowClose();
-        }
-    }
-    Tick end = 0;
-    for (SimStation &s : _stations)
-        end = std::max(end, s.queue->now());
-    return end;
-}
+    if (_stations.empty())
+        return 0;
+    const unsigned jobs =
+        _jobsParam ? _jobsParam : SimExecutor::defaultJobs();
+    const auto workers = static_cast<unsigned>(std::min<std::size_t>(
+        std::max(1u, jobs), _stations.size()));
+    _lastJobs = workers;
 
-Tick
-ParallelSimulator::runParallel(unsigned workers)
-{
-    // Two barriers per window. `limit` and `stop` are plain values:
-    // the main thread writes them strictly before its `ready`
-    // arrival, and the barrier's acquire/release generation hand-off
-    // orders them before any worker's read (and the workers' station
-    // mutations before the main thread's next drain).
+    // One window loop for every worker count: the calling thread runs
+    // station 0 (and every workers-th one after it) and `workers - 1`
+    // threads run the rest, so jobs = 1 spawns none and its one-party
+    // barriers return at once. Two barriers per window. `limit` and
+    // `stop` are plain values: the main thread writes them strictly
+    // before its `ready` arrival, and the barrier's acquire/release
+    // generation hand-off orders them before any worker's read (and
+    // the workers' station mutations before the main thread's next
+    // drain).
     SpinBarrier ready(workers), done(workers);
     Tick limit = 0;
     bool stop = false;
@@ -159,23 +134,6 @@ ParallelSimulator::runParallel(unsigned workers)
     for (SimStation &s : _stations)
         end = std::max(end, s.queue->now());
     return end;
-}
-
-Tick
-ParallelSimulator::run()
-{
-    if (_stations.empty())
-        return 0;
-    unsigned jobs = _jobsParam ? _jobsParam : SimExecutor::defaultJobs();
-    unsigned workers = static_cast<unsigned>(std::min<std::size_t>(
-        std::max(1u, jobs), _stations.size()));
-    _lastJobs = workers;
-    // The two paths execute the identical window algorithm; jobs = 1
-    // simply runs every station on the calling thread. Results are
-    // byte-identical by construction.
-    if (workers <= 1)
-        return runSerial();
-    return runParallel(workers);
 }
 
 } // namespace beacongnn::sim

@@ -54,7 +54,7 @@ class Validator
     /**
      * @param stations  Station (device) count of the run.
      * @param lookahead Minimum cross-station latency the driver
-     *                  synchronizes with (TopologyConfig lookahead).
+     *                  synchronizes with (the fabric's P2P latency).
      */
     Validator(std::size_t stations, Tick lookahead);
 

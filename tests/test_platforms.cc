@@ -339,11 +339,7 @@ TEST(Report, ConfigBroadcastPrecedesFirstBatch)
     EXPECT_EQ(engine.configuredAt(), 0u);
 
     std::vector<graph::NodeId> targets = {1, 2};
-    engines::PrepResult pr;
-    engine.prepare(0, 0, targets,
-                   [&](engines::PrepResult &&r) { pr = std::move(r); });
-    dev.queue().run();
-    engine.completePrepared();
+    engines::PrepResult pr = engine.run(0, 0, targets);
     // §VI-C: the global GNN configuration broadcast completes before
     // any sampling command is created.
     EXPECT_GT(engine.configuredAt(), 0u);
@@ -351,11 +347,7 @@ TEST(Report, ConfigBroadcastPrecedesFirstBatch)
 
     // A second batch reuses the configuration (no re-broadcast).
     sim::Tick configured = engine.configuredAt();
-    engines::PrepResult pr2;
-    engine.prepare(pr.finish, 1, targets,
-                   [&](engines::PrepResult &&r) { pr2 = std::move(r); });
-    dev.queue().run();
-    engine.completePrepared();
+    engine.run(pr.finish, 1, targets);
     EXPECT_EQ(engine.configuredAt(), configured);
 }
 
