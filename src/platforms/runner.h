@@ -167,7 +167,8 @@ struct RunResult
     unsigned devices = 1;          ///< Devices of the topology.
     std::uint64_t commands = 0;    ///< Flash commands executed.
     std::uint64_t crossDevice = 0; ///< Commands that crossed P2P links.
-    /** crossDevice / commands; 0 when no command ran. */
+    /** crossDevice over every issued command: `commands` plus the
+     *  streaming dedupe and cache hits; 0 when none was issued. */
     double crossFraction = 0;
     /** Per-device command/byte tallies (devices entries). */
     std::vector<engines::DeviceTally> perDevice;

@@ -96,7 +96,8 @@ struct ServeResult
     unsigned devices = 1;          ///< Devices serving the stream.
     std::uint64_t commands = 0;    ///< Flash commands executed.
     std::uint64_t crossDevice = 0; ///< Commands that crossed P2P links.
-    /** crossDevice / commands; 0 when no command ran. */
+    /** RunResult::crossFraction: crossDevice over every issued command,
+     *  short-path hits included; 0 when none was issued. */
     double crossFraction = 0;
     /** Per-device command/byte tallies (devices entries). */
     std::vector<engines::DeviceTally> perDevice;
