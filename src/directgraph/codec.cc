@@ -123,10 +123,13 @@ decodeSection(std::span<const std::uint8_t> page, std::uint32_t offset,
         if (off + sec_count * kSecondaryRefBytes > offset + size)
             return std::nullopt;
         s.secondaries.reserve(sec_count);
+        // 64-bit: corrupted counts must not wrap into agreement.
+        std::uint64_t covered = 0;
         for (std::uint32_t i = 0; i < sec_count; ++i) {
             SecondaryRef r;
             r.addr = DgAddress(get32(page, off));
             r.count = get32(page, off + 4);
+            covered += r.count;
             s.secondaries.push_back(r);
             off += kSecondaryRefBytes;
         }
@@ -139,6 +142,10 @@ decodeSection(std::span<const std::uint8_t> page, std::uint32_t offset,
         if (rest % kAddrBytes != 0)
             return std::nullopt;
         s.inPage = rest / kAddrBytes;
+        // The sections must cover exactly the neighbour count, or a
+        // sampler draw beyond their sum would vanish (§VI-E abort).
+        if (covered + s.inPage != s.totalNeighbors)
+            return std::nullopt;
         s.neighborAddrs.reserve(s.inPage);
         for (std::uint32_t i = 0; i < s.inPage; ++i) {
             s.neighborAddrs.emplace_back(get32(page, off));
