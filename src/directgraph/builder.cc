@@ -182,6 +182,20 @@ class Packer
 
 } // namespace
 
+std::uint64_t
+reservedBlockCount(const graph::Graph &g,
+                   const graph::FeatureTable &features,
+                   const flash::FlashConfig &cfg)
+{
+    const std::uint64_t raw =
+        g.numEdges() * 4 +
+        std::uint64_t{g.numNodes()} * features.bytesPerNode();
+    const std::uint64_t block_bytes =
+        std::uint64_t{cfg.pagesPerBlock} * cfg.pageSize;
+    return std::max<std::uint64_t>((raw * 3) / block_bytes + 16,
+                                   cfg.totalDies() + 8);
+}
+
 DirectGraphLayout
 buildLayout(const graph::Graph &g, const graph::FeatureTable &features,
             const flash::FlashConfig &cfg,

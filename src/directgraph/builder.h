@@ -40,6 +40,16 @@ struct BuilderOptions
 };
 
 /**
+ * Blocks to reserve for the layout of @p g and @p features (§VI-A):
+ * three times the raw volume — generous headroom for inflation —
+ * rounded up to whole blocks plus 16, and at least one block per die
+ * plus 8.
+ */
+std::uint64_t reservedBlockCount(const graph::Graph &g,
+                                 const graph::FeatureTable &features,
+                                 const flash::FlashConfig &cfg);
+
+/**
  * Compute the full DirectGraph layout (Algorithm 1, step 1).
  *
  * @param g        Raw graph structure.
