@@ -1,14 +1,16 @@
 /**
  * @file
  * Component microbenchmarks (google-benchmark): event-queue
- * throughput, DirectGraph construction, section decode, die-sampler
- * execution, systolic estimation and end-to-end mini-batch prep.
+ * throughput, DirectGraph construction, section decode, layout-source
+ * fetch, die-sampler execution, systolic estimation and end-to-end
+ * mini-batch prep.
  * These guard against performance regressions of the simulator
  * itself (not of the modelled system).
  */
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <functional>
@@ -214,6 +216,20 @@ benchGraph()
     return g;
 }
 
+/** benchGraph()'s layout on the default flash geometry. */
+const dg::DirectGraphLayout &
+benchLayout()
+{
+    static const dg::DirectGraphLayout layout = [] {
+        flash::FlashConfig cfg;
+        graph::FeatureTable feat(128, 1);
+        ssd::Ftl ftl(cfg);
+        return dg::buildLayout(benchGraph(), feat, cfg,
+                               ftl.reserveBlocks(512));
+    }();
+    return layout;
+}
+
 void
 BM_DirectGraphBuild(benchmark::State &state)
 {
@@ -242,19 +258,47 @@ BM_SectionDecode(benchmark::State &state)
     dg::encodePrimary(page, 1, 1000, secs, feat, nbrs);
     for (auto _ : state) {
         auto sec = dg::decodeSection(page, 0, 128);
-        benchmark::DoNotOptimize(sec->neighborAddrs.size());
+        benchmark::DoNotOptimize(sec->neighbors.size());
     }
 }
 BENCHMARK(BM_SectionDecode);
 
+/** One LayoutSource::fetch over the primary and secondary sections of
+ *  benchGraph()'s 64 highest-degree nodes — the sections with the
+ *  longest neighbour lists. */
+void
+BM_LayoutSourceFetch(benchmark::State &state)
+{
+    const graph::Graph &g = benchGraph();
+    const dg::DirectGraphLayout &layout = benchLayout();
+    dg::LayoutSource src(layout, g);
+    std::vector<graph::NodeId> hubs(g.numNodes());
+    for (graph::NodeId v = 0; v < g.numNodes(); ++v)
+        hubs[v] = v;
+    std::stable_sort(hubs.begin(), hubs.end(),
+                     [&](graph::NodeId a, graph::NodeId b) {
+                         return g.degree(a) > g.degree(b);
+                     });
+    hubs.resize(64);
+    std::vector<dg::DgAddress> addrs;
+    for (graph::NodeId v : hubs) {
+        addrs.push_back(layout.nodes[v].primary);
+        for (const dg::SecondaryRef &r : layout.nodes[v].secondaries)
+            addrs.push_back(r.addr);
+    }
+    std::size_t i = 0;
+    for (auto _ : state) {
+        auto s = src.fetch(addrs[i++ % addrs.size()]);
+        benchmark::DoNotOptimize(s);
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_LayoutSourceFetch);
+
 void
 BM_DieSampler(benchmark::State &state)
 {
-    flash::FlashConfig cfg;
-    graph::FeatureTable feat(128, 1);
-    ssd::Ftl ftl(cfg);
-    auto blocks = ftl.reserveBlocks(512);
-    auto layout = dg::buildLayout(benchGraph(), feat, cfg, blocks);
+    const dg::DirectGraphLayout &layout = benchLayout();
     dg::LayoutSource src(layout, benchGraph());
     ssd::EngineConfig ecfg;
     flash::GnnGlobalConfig gcfg;

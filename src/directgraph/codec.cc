@@ -28,15 +28,6 @@ get16(std::span<const std::uint8_t> in, std::uint32_t off)
     return static_cast<std::uint16_t>(in[off] | (in[off + 1] << 8));
 }
 
-std::uint32_t
-get32(std::span<const std::uint8_t> in, std::uint32_t off)
-{
-    return static_cast<std::uint32_t>(in[off]) |
-           (static_cast<std::uint32_t>(in[off + 1]) << 8) |
-           (static_cast<std::uint32_t>(in[off + 2]) << 16) |
-           (static_cast<std::uint32_t>(in[off + 3]) << 24);
-}
-
 } // namespace
 
 std::uint32_t
@@ -114,25 +105,21 @@ decodeSection(std::span<const std::uint8_t> page, std::uint32_t offset,
     std::uint32_t size = get16(page, offset + 2);
     if (size < kHeaderBytes || offset + size > page.size())
         return std::nullopt;
-    s.node = get32(page, offset + 4);
-    s.totalNeighbors = get32(page, offset + 8);
+    s.node = loadLe32(page, offset + 4);
+    s.totalNeighbors = loadLe32(page, offset + 8);
     std::uint32_t sec_count = get16(page, offset + 12);
 
     std::uint32_t off = offset + kHeaderBytes;
     if (s.type == SectionType::Primary) {
-        if (off + sec_count * kSecondaryRefBytes > offset + size)
+        const std::uint32_t refs_bytes = sec_count * kSecondaryRefBytes;
+        if (off + refs_bytes > offset + size)
             return std::nullopt;
-        s.secondaries.reserve(sec_count);
+        s.secondaries = SecondaryList(page.subspan(off, refs_bytes));
         // 64-bit: corrupted counts must not wrap into agreement.
         std::uint64_t covered = 0;
-        for (std::uint32_t i = 0; i < sec_count; ++i) {
-            SecondaryRef r;
-            r.addr = DgAddress(get32(page, off));
-            r.count = get32(page, off + 4);
-            covered += r.count;
-            s.secondaries.push_back(r);
-            off += kSecondaryRefBytes;
-        }
+        for (std::uint32_t i = 0; i < sec_count; ++i)
+            covered += s.secondaries[i].count;
+        off += refs_bytes;
         std::uint32_t feat_bytes =
             s.hasFeature ? std::uint32_t{feature_dim} * 2 : 0;
         if (off + feat_bytes > offset + size)
@@ -146,22 +133,19 @@ decodeSection(std::span<const std::uint8_t> page, std::uint32_t offset,
         // sampler draw beyond their sum would vanish (§VI-E abort).
         if (covered + s.inPage != s.totalNeighbors)
             return std::nullopt;
-        s.neighborAddrs.reserve(s.inPage);
-        for (std::uint32_t i = 0; i < s.inPage; ++i) {
-            s.neighborAddrs.emplace_back(get32(page, off));
-            off += kAddrBytes;
-        }
+        s.neighbors = NeighborList(page.subspan(off, rest));
     } else {
         // 64-bit: a corrupted count must not wrap to a plausible size.
         const std::uint64_t expect =
             kHeaderBytes + std::uint64_t{s.totalNeighbors} * kAddrBytes;
         if (expect != size)
             return std::nullopt;
-        s.neighborAddrs.reserve(s.totalNeighbors);
-        for (std::uint32_t i = 0; i < s.totalNeighbors; ++i) {
-            s.neighborAddrs.emplace_back(get32(page, off));
-            off += kAddrBytes;
-        }
+        // A secondary exists only to hold spilled neighbours; an empty
+        // one would leave a secondary command nothing to draw from.
+        if (s.totalNeighbors == 0)
+            return std::nullopt;
+        s.neighbors =
+            NeighborList(page.subspan(off, size - kHeaderBytes));
     }
     return s;
 }
@@ -196,7 +180,7 @@ decodePage(std::span<const std::uint8_t> page, std::uint16_t feature_dim)
         if (!sec)
             break;
         std::uint32_t size = get16(page, offset + 2);
-        out.push_back(std::move(*sec));
+        out.push_back(*sec);
         offset += alignSection(size);
     }
     return out;

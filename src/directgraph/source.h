@@ -1,21 +1,32 @@
 /**
  * @file
- * Section sources: how a sampler obtains the decoded content of a
- * (page, section) address.
+ * Section sources: how a sampler obtains the content of a (page,
+ * section) address.
  *
  * Two interchangeable implementations back the same sampler logic:
- *  - PageByteSource parses real flash page bytes (what the die-level
- *    sampler hardware does); used by functional tests and examples.
+ *  - PageByteSource views real flash page bytes in place (what the
+ *    die-level sampler hardware reads in its page register); used by
+ *    functional tests and examples.
  *  - LayoutSource answers from builder metadata without materializing
- *    page bytes; used for large timing runs.
- * The test suite checks that both return identical SectionData for
+ *    page bytes: its neighbour list is the node's CSR slice, resolved
+ *    to primary addresses one entry at a time; used for large timing
+ *    runs.
+ * Neither copies nor allocates: a fetch returns a SectionData view
+ * (directgraph/codec.h), and a sampler resolves only the neighbours it
+ * draws. The test suite checks that both return identical content for
  * every address of a materialized graph.
+ *
+ * Lifetime rule: a view is valid while the bytes (the page store's
+ * page), or the layout and graph, behind it are unchanged. Every
+ * caller consumes it within one `sampler.execute(source.fetch(a), p)`
+ * expression.
  */
 
 #ifndef BEACONGNN_DIRECTGRAPH_SOURCE_H
 #define BEACONGNN_DIRECTGRAPH_SOURCE_H
 
 #include <optional>
+#include <span>
 
 #include "directgraph/builder.h"
 #include "directgraph/codec.h"
@@ -30,7 +41,8 @@ class SectionSource
     virtual ~SectionSource() = default;
 
     /**
-     * Decode the section at @p addr.
+     * View the section at @p addr (valid under the lifetime rule in
+     * the file comment).
      * @return nullopt if the address does not name a valid section —
      *         the on-die check of §VI-E treats that as an abort.
      */
@@ -78,6 +90,7 @@ class LayoutSource : public SectionSource
         if (!sp)
             return std::nullopt;
         const NodeLayout &nl = layout.nodes[sp->node];
+        const std::span<const graph::NodeId> adj = g.neighbors(sp->node);
         SectionData s;
         s.type = sp->type;
         s.node = sp->node;
@@ -85,22 +98,15 @@ class LayoutSource : public SectionSource
             s.totalNeighbors = nl.degree;
             s.hasFeature = layout.featureDim > 0;
             s.inPage = nl.inPage;
-            s.secondaries = nl.secondaries;
-            s.neighborAddrs.reserve(nl.inPage);
-            for (std::uint32_t i = 0; i < nl.inPage; ++i)
-                s.neighborAddrs.push_back(
-                    layout.nodes[g.neighbor(sp->node, i)].primary);
+            s.secondaries = SecondaryList(nl.secondaries);
+            s.neighbors = NeighborList(adj.first(nl.inPage), layout.nodes);
         } else {
             std::uint32_t start = nl.inPage;
             for (std::uint32_t j = 0; j < sp->secondaryIdx; ++j)
                 start += nl.secondaries[j].count;
-            std::uint32_t count = nl.secondaries[sp->secondaryIdx].count;
-            s.totalNeighbors = count;
-            s.hasFeature = false;
-            s.neighborAddrs.reserve(count);
-            for (std::uint32_t i = 0; i < count; ++i)
-                s.neighborAddrs.push_back(
-                    layout.nodes[g.neighbor(sp->node, start + i)].primary);
+            s.totalNeighbors = nl.secondaries[sp->secondaryIdx].count;
+            s.neighbors = NeighborList(adj.subspan(start, s.totalNeighbors),
+                                       layout.nodes);
         }
         return s;
     }

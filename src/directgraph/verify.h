@@ -64,12 +64,12 @@ class AddressVerifier
     {
         if (!pageAllowed(ppa))
             return false;
-        for (const auto &sec : decodePage(image, feature_dim)) {
-            for (const auto &r : sec.secondaries)
-                if (!addressAllowed(r.addr))
+        for (const SectionData &sec : decodePage(image, feature_dim)) {
+            for (std::size_t j = 0; j < sec.secondaries.size(); ++j)
+                if (!addressAllowed(sec.secondaries[j].addr))
                     return false;
-            for (const auto &a : sec.neighborAddrs)
-                if (!addressAllowed(a))
+            for (std::size_t i = 0; i < sec.neighbors.size(); ++i)
+                if (!addressAllowed(sec.neighbors[i]))
                     return false;
         }
         return true;

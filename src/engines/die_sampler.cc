@@ -66,7 +66,7 @@ DieSampler::executeImpl(const std::optional<dg::SectionData> &section,
             params.sampleCount, s.totalNeighbors, s.inPage,
             s.secondaries);
         for (std::uint32_t pick : draws.inPagePicks)
-            make_child(s.neighborAddrs[pick]);
+            make_child(s.neighbors[pick]);
         for (std::size_t j = 0; j < draws.secondaryHits.size(); ++j) {
             std::uint32_t hits = draws.secondaryHits[j];
             if (hits == 0)
@@ -79,10 +79,11 @@ DieSampler::executeImpl(const std::optional<dg::SectionData> &section,
             std::uint32_t per_cmd = opts.coalesceSecondary ? hits : 1;
             for (std::uint32_t first = 0; first < hits;
                  first += per_cmd) {
+                const dg::DgAddress at = s.secondaries[j].addr;
                 flash::EmittedCommand c;
-                c.params.ppa = s.secondaries[j].addr.page();
-                c.params.sectionIndex = static_cast<std::uint8_t>(
-                    s.secondaries[j].addr.section());
+                c.params.ppa = at.page();
+                c.params.sectionIndex =
+                    static_cast<std::uint8_t>(at.section());
                 c.params.hop = params.hop; // Same-hop continuation.
                 c.params.batchId = params.batchId;
                 c.params.isSecondary = true;
@@ -103,7 +104,7 @@ DieSampler::executeImpl(const std::optional<dg::SectionData> &section,
             params.secondaryOrdinal, params.firstDraw,
             params.sampleCount, s.totalNeighbors);
         for (std::uint32_t idx : picks)
-            make_child(s.neighborAddrs[idx]);
+            make_child(s.neighbors[idx]);
     }
     return res;
 }

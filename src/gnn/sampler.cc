@@ -7,8 +7,7 @@ namespace beacongnn::gnn {
 PrimaryDraws
 drawPrimary(std::uint64_t seed, std::uint64_t batch, std::uint8_t hop,
             graph::NodeId node, std::uint8_t fanout, std::uint32_t degree,
-            std::uint32_t in_page,
-            std::span<const dg::SecondaryRef> secondaries)
+            std::uint32_t in_page, dg::SecondaryList secondaries)
 {
     PrimaryDraws out;
     out.secondaryHits.assign(secondaries.size(), 0);
@@ -108,8 +107,9 @@ layoutSample(const graph::Graph &g, const dg::DirectGraphLayout &layout,
         if (nl.degree == 0)
             return out;
         const std::uint8_t fan = m.fanoutAt(hop);
-        PrimaryDraws d = drawPrimary(m.seed, batch, hop, v, fan,
-                                     nl.degree, nl.inPage, nl.secondaries);
+        PrimaryDraws d =
+            drawPrimary(m.seed, batch, hop, v, fan, nl.degree, nl.inPage,
+                        dg::SecondaryList(nl.secondaries));
         out.reserve(fan);
         for (std::uint32_t r : d.inPagePicks)
             out.push_back(g.neighbor(v, r));

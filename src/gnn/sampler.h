@@ -27,7 +27,7 @@
 #include <cstdint>
 #include <span>
 
-#include "directgraph/layout.h"
+#include "directgraph/codec.h"
 #include "gnn/model.h"
 #include "gnn/subgraph.h"
 #include "graph/graph.h"
@@ -77,7 +77,7 @@ PrimaryDraws drawPrimary(std::uint64_t seed, std::uint64_t batch,
                          std::uint8_t hop, graph::NodeId node,
                          std::uint8_t fanout, std::uint32_t degree,
                          std::uint32_t in_page,
-                         std::span<const dg::SecondaryRef> secondaries);
+                         dg::SecondaryList secondaries);
 
 /**
  * The secondary-section re-draw kernel: draw indices

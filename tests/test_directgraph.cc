@@ -90,8 +90,8 @@ TEST(Codec, PrimaryRoundTrip)
     EXPECT_EQ(dec->secondaries[0].count, 50u);
     EXPECT_EQ(dec->secondaries[1].count, 30u);
     EXPECT_EQ(dec->inPage, 3u);
-    ASSERT_EQ(dec->neighborAddrs.size(), 3u);
-    EXPECT_EQ(dec->neighborAddrs[2], DgAddress(9, 15));
+    ASSERT_EQ(dec->neighbors.size(), 3u);
+    EXPECT_EQ(dec->neighbors[2], DgAddress(9, 15));
 }
 
 TEST(Codec, SecondaryRoundTrip)
@@ -107,8 +107,8 @@ TEST(Codec, SecondaryRoundTrip)
     EXPECT_EQ(dec->type, SectionType::Secondary);
     EXPECT_EQ(dec->node, 777u);
     EXPECT_EQ(dec->totalNeighbors, 20u);
-    ASSERT_EQ(dec->neighborAddrs.size(), 20u);
-    EXPECT_EQ(dec->neighborAddrs[19], DgAddress(19 * 17, 3));
+    ASSERT_EQ(dec->neighbors.size(), 20u);
+    EXPECT_EQ(dec->neighbors[19], DgAddress(19 * 17, 3));
 }
 
 TEST(Codec, MultipleSectionsPerPage)
@@ -241,9 +241,9 @@ TEST(Builder, MaterializeAndSourcesAgree)
             EXPECT_EQ(a->secondaries[j].addr, b->secondaries[j].addr);
             EXPECT_EQ(a->secondaries[j].count, b->secondaries[j].count);
         }
-        ASSERT_EQ(a->neighborAddrs.size(), b->neighborAddrs.size());
-        for (std::size_t j = 0; j < a->neighborAddrs.size(); ++j)
-            EXPECT_EQ(a->neighborAddrs[j], b->neighborAddrs[j]);
+        ASSERT_EQ(a->neighbors.size(), b->neighbors.size());
+        for (std::size_t j = 0; j < a->neighbors.size(); ++j)
+            EXPECT_EQ(a->neighbors[j], b->neighbors[j]);
         // Secondary sections too.
         for (const auto &r : layout.nodes[v].secondaries) {
             auto sa = bytes.fetch(r.addr);
@@ -251,9 +251,9 @@ TEST(Builder, MaterializeAndSourcesAgree)
             ASSERT_TRUE(sa && sb);
             EXPECT_EQ(sa->node, v);
             EXPECT_EQ(sa->totalNeighbors, sb->totalNeighbors);
-            ASSERT_EQ(sa->neighborAddrs.size(), sb->neighborAddrs.size());
-            for (std::size_t j = 0; j < sa->neighborAddrs.size(); ++j)
-                EXPECT_EQ(sa->neighborAddrs[j], sb->neighborAddrs[j]);
+            ASSERT_EQ(sa->neighbors.size(), sb->neighbors.size());
+            for (std::size_t j = 0; j < sa->neighbors.size(); ++j)
+                EXPECT_EQ(sa->neighbors[j], sb->neighbors[j]);
         }
     }
 }
@@ -377,10 +377,37 @@ namespace {
 using namespace beacongnn;
 using namespace beacongnn::dg;
 
+/** Keeps readWholeView()'s loads from being optimized away. */
+volatile std::uint64_t viewSink = 0;
+
+/**
+ * Read every entry of both lists of the view @p s and check their
+ * sizes against its header: a view that reached past its section
+ * would read outside the page (an ASan report, or an assertion-build
+ * abort).
+ */
+void
+readWholeView(const SectionData &s)
+{
+    std::uint64_t sum = 0;
+    for (std::size_t j = 0; j < s.secondaries.size(); ++j)
+        sum += s.secondaries[j].addr.raw + s.secondaries[j].count;
+    for (std::size_t i = 0; i < s.neighbors.size(); ++i)
+        sum += s.neighbors[i].raw;
+    viewSink = sum;
+    if (s.type == SectionType::Primary) {
+        EXPECT_EQ(s.neighbors.size(), s.inPage);
+    } else {
+        EXPECT_EQ(s.neighbors.size(), s.totalNeighbors);
+        EXPECT_EQ(s.secondaries.size(), 0u);
+    }
+}
+
 TEST(Codec, FuzzDecodeNeverCrashes)
 {
     // decodeSection / findSection / decodePage must reject arbitrary
-    // bytes gracefully — the on-die §VI-E check depends on it.
+    // bytes gracefully — the on-die §VI-E check depends on it — and
+    // every view they return must stay inside its page.
     sim::Pcg32 rng(0xF422);
     std::vector<std::uint8_t> page(4096);
     for (int round = 0; round < 300; ++round) {
@@ -392,12 +419,16 @@ TEST(Codec, FuzzDecodeNeverCrashes)
             page[0] = static_cast<std::uint8_t>(1 + round % 2);
         auto s0 = decodeSection(page, 0, 64);
         if (s0) {
-            EXPECT_LE(s0->neighborAddrs.size(), 4096u / 4);
+            EXPECT_LE(s0->neighbors.size(), 4096u / 4);
+            readWholeView(*s0);
         }
         for (unsigned idx = 0; idx < kMaxSectionsPerPage; idx += 5)
-            (void)findSection(page, idx, 64);
+            if (auto s = findSection(page, idx, 64))
+                readWholeView(*s);
         auto all = decodePage(page, 64);
         EXPECT_LE(all.size(), kMaxSectionsPerPage);
+        for (const SectionData &s : all)
+            readWholeView(s);
     }
 
     // A secondary section whose neighbour count is corrupted to

@@ -14,6 +14,8 @@
 #include "engines/gnn_engine.h"
 #include "graph/generator.h"
 #include "platforms/device_context.h"
+#include "sim/ordered.h"
+#include "sim/rng.h"
 
 namespace {
 
@@ -154,6 +156,82 @@ TEST(DieSampler, AbortsOnNeighbourCountMismatch)
     }
     EXPECT_TRUE(decodes(a));
     EXPECT_TRUE(s.execute(rig.bytes->fetch(a), p).ok);
+}
+
+TEST(DieSampler, AbortsOnEmptySecondary)
+{
+    // A secondary section with no neighbours matches its 16-byte size,
+    // but a secondary command against it would draw from an empty
+    // list: the decoder rejects it, so the command aborts (§VI-E).
+    Rig rig;
+    DieSampler s(rig.cfg.engine, rig.gnnCfg());
+    std::vector<std::uint8_t> page(rig.cfg.flash.pageSize, 0);
+    ASSERT_EQ(dg::encodeSecondary(page, 7, {}), dg::kHeaderBytes);
+    EXPECT_FALSE(dg::decodeSection(page, 0, rig.feat.dim()).has_value());
+    flash::GnnSampleParams p;
+    p.isSecondary = true;
+    p.sampleCount = 2;
+    flash::GnnSampleResult r =
+        s.execute(dg::decodeSection(page, 0, rig.feat.dim()), p);
+    EXPECT_FALSE(r.ok);
+    EXPECT_TRUE(r.follow.empty());
+}
+
+TEST(DieSampler, MutatedPagesNeverCrash)
+{
+    // Mutation fuzzing through the in-place decoder: each round flips
+    // one random bit of a copy of a random materialized page, then
+    // runs every section index of the copy through PageByteSource and
+    // the die sampler as a primary and as a secondary command. A
+    // corrupt section must abort or sample within its fanout, and its
+    // view must never read past the page (ASan, assertion builds).
+    Rig rig;
+    DieSampler s(rig.cfg.engine, rig.gnnCfg());
+    const std::vector<flash::Ppa> pages = sim::sortedKeys(rig.layout.pages);
+    const std::uint32_t page_bits = rig.cfg.flash.pageSize * 8;
+    sim::Pcg32 rng(0xB17F11);
+    std::uint64_t ok = 0, aborted = 0;
+    for (int round = 0; round < 6000; ++round) {
+        const flash::Ppa ppa =
+            pages[rng.below(static_cast<std::uint32_t>(pages.size()))];
+        // Half the rounds hit the first 64 bytes of a section: its
+        // header and first refs or addresses.
+        std::uint32_t bit = rng.below(page_bits);
+        if (round % 2 == 0) {
+            const auto &secs = rig.layout.pages.at(ppa).sections;
+            const auto &sp =
+                secs[rng.below(static_cast<std::uint32_t>(secs.size()))];
+            bit = sp.byteOffset * 8 + rng.below(64 * 8);
+        }
+        flash::PageStore mutant(rig.cfg.flash);
+        ASSERT_TRUE(mutant.program(ppa, rig.store->read(ppa)));
+        ASSERT_TRUE(mutant.corruptBit(ppa, bit / 8, bit % 8));
+        const dg::PageByteSource src(mutant, rig.feat.dim());
+        for (unsigned idx = 0; idx < dg::kMaxSectionsPerPage; ++idx) {
+            for (bool secondary : {false, true}) {
+                flash::GnnSampleParams p;
+                p.ppa = ppa;
+                p.sectionIndex = static_cast<std::uint8_t>(idx);
+                p.isSecondary = secondary;
+                p.retrieveFeature = !secondary;
+                p.sampleCount =
+                    static_cast<std::uint8_t>(1 + rng.below(8));
+                p.secondaryOrdinal =
+                    static_cast<std::uint16_t>(rng.below(4));
+                flash::GnnSampleResult r =
+                    s.execute(src.fetch(dg::DgAddress(ppa, idx)), p);
+                if (r.ok) {
+                    ++ok;
+                    EXPECT_LE(r.follow.size(), p.sampleCount);
+                } else {
+                    ++aborted;
+                }
+            }
+        }
+    }
+    // Both outcomes occur, so both paths were fuzzed.
+    EXPECT_GT(ok, 0u);
+    EXPECT_GT(aborted, 0u);
 }
 
 TEST(DieSampler, FinalHopRetrievesFeatureOnly)

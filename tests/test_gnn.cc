@@ -124,7 +124,8 @@ TEST(DrawPrimary, PartitionsAcrossRegions)
     std::vector<dg::SecondaryRef> secs = {{dg::DgAddress(1, 0), 100},
                                           {dg::DgAddress(2, 0), 100}};
     // degree 250 = 50 in page + 100 + 100.
-    PrimaryDraws d = drawPrimary(1, 0, 0, 42, 200, 250, 50, secs);
+    PrimaryDraws d =
+        drawPrimary(1, 0, 0, 42, 200, 250, 50, dg::SecondaryList(secs));
     std::uint32_t total = static_cast<std::uint32_t>(d.inPagePicks.size());
     for (auto h : d.secondaryHits)
         total += h;
