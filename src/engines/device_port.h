@@ -73,8 +73,6 @@ struct FabricConfig
      * concurrent).
      */
     sim::Tick p2pLatency = 0;
-    /** Forwarded command descriptor size (bytes on the link). */
-    std::uint32_t commandBytes = 16;
     /** Node → primary-owner device table (null/empty = single
      *  device). Replica k of a node is (owner + k) % devices —
      *  chained declustering, applied by GnnEngine::routeOn. */

@@ -9,9 +9,6 @@ DieSampler::executeImpl(const std::optional<dg::SectionData> &section,
                         const flash::GnnSampleParams &params) const
 {
     flash::GnnSampleResult res;
-    res.hop = params.hop;
-    res.batchId = params.batchId;
-    res.parentSlot = params.parentSlot;
 
     // §VI-E on-die checks: the section must exist and match the
     // command's expectation; otherwise stop immediately and hand
@@ -31,19 +28,19 @@ DieSampler::executeImpl(const std::optional<dg::SectionData> &section,
     res.nodeId = s.node;
 
     auto make_child = [&](dg::DgAddress addr) {
-        flash::EmittedCommand c;
-        c.params.ppa = addr.page();
-        c.params.sectionIndex = static_cast<std::uint8_t>(addr.section());
-        c.params.hop = static_cast<std::uint8_t>(params.hop + 1);
-        c.params.batchId = params.batchId;
-        c.params.retrieveFeature = true;
-        c.params.isSecondary = false;
-        if (c.params.hop >= gcfg.hops) {
+        flash::GnnSampleParams c;
+        c.ppa = addr.page();
+        c.sectionIndex = static_cast<std::uint8_t>(addr.section());
+        c.hop = static_cast<std::uint8_t>(params.hop + 1);
+        c.batchId = params.batchId;
+        c.retrieveFeature = true;
+        c.isSecondary = false;
+        if (c.hop >= gcfg.hops) {
             // Final hop: feature retrieval only.
-            c.params.finalHop = true;
-            c.params.sampleCount = 0;
+            c.finalHop = true;
+            c.sampleCount = 0;
         } else {
-            c.params.sampleCount = gcfg.fanoutAt(c.params.hop);
+            c.sampleCount = gcfg.fanoutAt(c.hop);
         }
         // Attention models ship a per-edge coefficient beside each
         // next-hop sample (computed by the sampler's vector unit).
@@ -80,20 +77,17 @@ DieSampler::executeImpl(const std::optional<dg::SectionData> &section,
             for (std::uint32_t first = 0; first < hits;
                  first += per_cmd) {
                 const dg::DgAddress at = s.secondaries[j].addr;
-                flash::EmittedCommand c;
-                c.params.ppa = at.page();
-                c.params.sectionIndex =
-                    static_cast<std::uint8_t>(at.section());
-                c.params.hop = params.hop; // Same-hop continuation.
-                c.params.batchId = params.batchId;
-                c.params.isSecondary = true;
-                c.params.secondaryOrdinal =
-                    static_cast<std::uint16_t>(j);
-                c.params.firstDraw = static_cast<std::uint8_t>(first);
-                c.params.sampleCount =
-                    static_cast<std::uint8_t>(per_cmd);
-                c.params.retrieveFeature = false;
-                c.params.nodeHint = s.node;
+                flash::GnnSampleParams c;
+                c.ppa = at.page();
+                c.sectionIndex = static_cast<std::uint8_t>(at.section());
+                c.hop = params.hop; // Same-hop continuation.
+                c.batchId = params.batchId;
+                c.isSecondary = true;
+                c.secondaryOrdinal = static_cast<std::uint16_t>(j);
+                c.firstDraw = static_cast<std::uint8_t>(first);
+                c.sampleCount = static_cast<std::uint8_t>(per_cmd);
+                c.retrieveFeature = false;
+                c.nodeHint = s.node;
                 res.follow.push_back(c);
             }
         }

@@ -97,11 +97,6 @@ class DieSampler
         return r;
     }
 
-    /** Commands executed / aborted (§VI-E) / follow-ups emitted. */
-    std::uint64_t executed() const { return _executed; }
-    std::uint64_t aborted() const { return _aborted; }
-    std::uint64_t emitted() const { return _emitted; }
-
     /** Publish sampler instruments into @p reg under @p prefix. */
     void
     publishMetrics(sim::MetricRegistry &reg,

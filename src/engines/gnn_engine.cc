@@ -121,6 +121,9 @@ namespace {
 /** Slot value used in command metadata for "no parent" (targets). */
 constexpr std::uint32_t kRootSlot = gnn::kNoParent;
 
+/** Descriptor bytes a cross-device follow-up sends over the P2P link. */
+constexpr std::uint32_t kP2pCommandBytes = 16;
+
 // On an array, a command's parentSlot crosses the fabric, so it must
 // name a subgraph entry globally: (device << 24) | lane-local index.
 // Device 0's packing is the identity, kRootSlot (all ones) is never a
@@ -192,7 +195,7 @@ struct CmdSpan
 
 } // namespace
 
-/** Per-mini-batch in-flight state. */
+/** Per-mini-batch in-flight state; run() owns it for the batch. */
 struct GnnEngine::Batch
 {
     std::uint64_t id = 0;
@@ -217,6 +220,9 @@ struct GnnEngine::Batch
         std::uint64_t replicaFallbacks = 0;
         bool ok = true;
         sim::Tick finishMax = 0;
+        /** Cross-device messages posted so far: the mailbox sort's
+         *  source sequence (the mailbox is empty between batches). */
+        std::uint64_t p2pSeq = 0;
         /** This device's subgraph fragment (parents packed). */
         struct Entry
         {
@@ -277,14 +283,6 @@ struct GnnEngine::Batch
     std::vector<Lane> lanes;
     /** Host-side submit-complete time (the finish floor). */
     sim::Tick readyAt = 0;
-
-    // Barrier mode: visits of the next hop, accumulated this hop.
-    struct Visit
-    {
-        graph::NodeId node;
-        gnn::Slot parent;
-    };
-    std::vector<Visit> nextVisits;
 };
 
 /** One cross-device command in flight through the mailbox. */
@@ -293,9 +291,15 @@ struct GnnEngine::CrossMsg
     sim::Tick when = 0;        ///< Arrival at the destination device.
     unsigned srcDev = 0;       ///< Posting device (sort tie-break).
     std::uint64_t srcSeq = 0;  ///< Posting order within srcDev.
-    std::shared_ptr<Batch> batch;
     flash::GnnSampleParams params;
     unsigned entryChannel = 0; ///< Crossbar entry at the destination.
+};
+
+/** One barrier-pipeline visit: a node and its parent's slot. */
+struct GnnEngine::Visit
+{
+    graph::NodeId node;
+    gnn::Slot parent;
 };
 
 GnnEngine::GnnEngine(std::vector<DevicePort> ports_,
@@ -330,7 +334,6 @@ GnnEngine::GnnEngine(std::vector<DevicePort> ports_,
         if (!fabric.owner || fabric.owner->size() < g.numNodes())
             sim::fatal("GnnEngine: array without an ownership table");
         mailbox = std::make_unique<sim::Mailbox<CrossMsg>>(ports.size());
-        p2pSeq.assign(ports.size(), 0);
         laneRouted.assign(ports.size(),
                           std::vector<std::uint64_t>(ports.size(), 0));
         hostRouted.assign(ports.size(), 0);
@@ -424,15 +427,16 @@ PrepResult
 GnnEngine::run(sim::Tick start, std::uint64_t batch_id,
                std::span<const graph::NodeId> targets)
 {
-    auto b = std::make_shared<Batch>();
-    b->id = batch_id;
-    b->res.start = start;
-    b->res.hops.resize(model.hops + 1u);
-    b->res.perDevice.resize(ports.size());
-    b->lanes.resize(ports.size());
+    batch = std::make_unique<Batch>();
+    Batch &b = *batch;
+    b.id = batch_id;
+    b.res.start = start;
+    b.res.hops.resize(model.hops + 1u);
+    b.res.perDevice.resize(ports.size());
+    b.lanes.resize(ports.size());
     // Pre-sizing every lane happens on the prep thread before any
     // device queue runs; no lane is live yet. bgnlint:allow(BGN007)
-    for (Batch::Lane &l : b->lanes)
+    for (Batch::Lane &l : b.lanes)
         l.hops.resize(model.hops + 1u);
 
     const auto &host = ports[0].fw->config().host;
@@ -445,34 +449,39 @@ GnnEngine::run(sim::Tick start, std::uint64_t batch_id,
     // through one customized NVMe command.
     sim::Tick ready = start + host.batchOverhead + host.nvmeRoundTrip +
                       host.translatePerNode * targets.size();
-    b->res.tally.hostCpuBusy += host.translatePerNode * targets.size();
-    b->readyAt = ready;
+    b.res.tally.hostCpuBusy += host.translatePerNode * targets.size();
+    b.readyAt = ready;
 
     if (_flags.directGraph) {
-        seedStreaming(b, targets, ready);
+        seedStreaming(targets, ready);
+        // Every queue runs to quiescence; the worker count (--jobs /
+        // BGN_JOBS) never changes the result.
+        driver->run();
     } else {
         // The barrier pipeline is single-device (the constructor
-        // rejects arrays of non-streaming platforms).
+        // rejects arrays of non-streaming platforms) and books each
+        // hop whole, so it needs no event queue.
+        std::vector<Visit> visits;
+        visits.reserve(targets.size());
         for (graph::NodeId t : targets)
-            b->nextVisits.push_back({t, kRootSlot});
-        homeQueue(0).scheduleAt(
-            ready, [this, b] { runHop(b, 0, homeQueue(0).now()); });
+            visits.push_back({t, kRootSlot});
+        sim::Tick hop_start = ready;
+        for (unsigned hop = 0; !visits.empty(); ++hop)
+            hop_start = runHop(hop, hop_start, visits);
     }
-    // Every queue runs to quiescence; the worker count (--jobs /
-    // BGN_JOBS) never changes the result.
-    driver->run();
-    mergeLanes(*b);
+    mergeLanes(b);
     if (trace) {
         trace->complete("batch", "batch", flash::kTraceEnginePid,
-                        static_cast<std::uint32_t>(b->id), b->res.start,
-                        b->res.finish);
+                        static_cast<std::uint32_t>(b.id), b.res.start,
+                        b.res.finish);
     }
-    return std::move(b->res);
+    PrepResult res = std::move(b.res);
+    batch.reset();
+    return res;
 }
 
 void
-GnnEngine::seedStreaming(const std::shared_ptr<Batch> &b,
-                         std::span<const graph::NodeId> targets,
+GnnEngine::seedStreaming(std::span<const graph::NodeId> targets,
                          sim::Tick ready)
 {
     // The host links to every array member: each device's targets are
@@ -481,15 +490,16 @@ GnnEngine::seedStreaming(const std::shared_ptr<Batch> &b,
     // traversal. Each target goes to the least-loaded healthy replica
     // of its node (the host's own routed table — this runs on the
     // prep thread before any device queue runs).
+    PrepResult &res = batch->res;
     std::vector<std::vector<graph::NodeId>> by_dev(ports.size());
     for (graph::NodeId node : targets) {
         const unsigned dev =
-            routeOn(hostRouted, node, ready, b->res.replicaFallbacks);
+            routeOn(hostRouted, node, ready, res.replicaFallbacks);
         if (dev == kNoReplica) {
             // Every replica of this target is dead: the submission
             // fails host-side before any command is injected.
-            ++b->res.tally.abortedCommands;
-            b->res.ok = false;
+            ++res.tally.abortedCommands;
+            res.ok = false;
             continue;
         }
         by_dev[dev].push_back(node);
@@ -501,12 +511,12 @@ GnnEngine::seedStreaming(const std::shared_ptr<Batch> &b,
         // no station is running yet, so this direct schedule is safe.
         // bgnlint:allow(BGN006)
         ports[dev].queue->scheduleAt(
-            ready, [this, b, dev, mine = std::move(by_dev[dev])] {
+            ready, [this, dev, mine = std::move(by_dev[dev])] {
                 sim::Tick now = homeQueue(dev).now();
                 for (graph::NodeId node : mine) {
-                    flash::GnnSampleParams p = primaryParams(*b, node, 0);
+                    flash::GnnSampleParams p = primaryParams(node, 0);
                     streamCommand(
-                        b, p, now,
+                        p, now,
                         ports[dev].backend->codec().channelOf(p.ppa),
                         dev);
                 }
@@ -533,20 +543,19 @@ GnnEngine::deliverInbound(unsigned dev)
                       return a.srcDev < x.srcDev;
                   return a.srcSeq < x.srcSeq;
               });
-    std::vector<sim::EventQueue::TimedEvent> batch;
-    batch.reserve(msgs.size());
-    for (CrossMsg &m : msgs) {
-        batch.push_back(
-            {m.when, [this, b = std::move(m.batch), child = m.params,
-                      entry = m.entryChannel, dev] {
-                 streamCommand(b, child, homeQueue(dev).now(), entry,
-                               dev);
+    std::vector<sim::EventQueue::TimedEvent> events;
+    events.reserve(msgs.size());
+    for (const CrossMsg &m : msgs) {
+        events.push_back(
+            {m.when, [this, child = m.params, entry = m.entryChannel,
+                      dev] {
+                 streamCommand(child, homeQueue(dev).now(), entry, dev);
              }});
     }
     // Delivering onto this station's *own* queue at a window boundary
     // is the one sanctioned non-mailbox schedule.
     // bgnlint:allow(BGN006)
-    ports[dev].queue->bulkScheduleAt(std::move(batch));
+    ports[dev].queue->bulkScheduleAt(std::move(events));
     return msgs.size();
 }
 
@@ -718,15 +727,14 @@ GnnEngine::setModel(const gnn::ModelConfig &m)
 // ====================================================================
 
 flash::GnnSampleParams
-GnnEngine::primaryParams(const Batch &b, graph::NodeId node,
-                         unsigned hop) const
+GnnEngine::primaryParams(graph::NodeId node, unsigned hop) const
 {
     flash::GnnSampleParams p;
     dg::DgAddress a = layout.primaryOf(node);
     p.ppa = a.page();
     p.sectionIndex = static_cast<std::uint8_t>(a.section());
     p.hop = static_cast<std::uint8_t>(hop);
-    p.batchId = static_cast<std::uint32_t>(b.id);
+    p.batchId = static_cast<std::uint32_t>(batch->id);
     p.parentSlot = kRootSlot;
     p.retrieveFeature = true;
     if (hop >= model.hops) {
@@ -740,8 +748,7 @@ GnnEngine::primaryParams(const Batch &b, graph::NodeId node,
 }
 
 void
-GnnEngine::streamCommand(const std::shared_ptr<Batch> &b,
-                         flash::GnnSampleParams params, sim::Tick ready,
+GnnEngine::streamCommand(flash::GnnSampleParams params, sim::Tick ready,
                          unsigned from_channel, unsigned dev)
 {
     if constexpr (sim::kCheckedBuild) {
@@ -755,7 +762,7 @@ GnnEngine::streamCommand(const std::shared_ptr<Batch> &b,
     ssd::Firmware &fw = *port.fw;
     DieSampler &sampler = *port.sampler;
     CommandRouter *router = port.router;
-    Batch::Lane &lane = b->lanes[dev];
+    Batch::Lane &lane = batch->lanes[dev];
     sim::TraceSink *tr = laneTrace(dev);
     const sim::Tick created = ready;
     const dg::DgAddress self_addr(params.ppa, params.sectionIndex);
@@ -794,7 +801,7 @@ GnnEngine::streamCommand(const std::shared_ptr<Batch> &b,
                          port.tracePidBase + flash::kTraceDramPid, 0,
                          created, parsed);
         }
-        retireCommand(b, dev, params, result, created, parsed, frame);
+        retireCommand(dev, params, result, created, parsed, frame);
         return;
     }
 
@@ -831,7 +838,7 @@ GnnEngine::streamCommand(const std::shared_ptr<Batch> &b,
         // and no children spawn — it retires an empty, failed result.
         flash::GnnSampleResult none;
         none.ok = false;
-        retireCommand(b, dev, params, none, created, t.xferEnd, 0);
+        retireCommand(dev, params, none, created, t.xferEnd, 0);
         return;
     }
     if (_flags.hwRouter)
@@ -889,17 +896,16 @@ GnnEngine::streamCommand(const std::shared_ptr<Batch> &b,
                            : 0.875 * dh.latencyEwmaUs + 0.125 * lat_us;
     ++dh.samples;
 
-    retireCommand(b, dev, params, result, created, parsed, dram_bytes);
+    retireCommand(dev, params, result, created, parsed, dram_bytes);
 }
 
 void
-GnnEngine::retireCommand(const std::shared_ptr<Batch> &b, unsigned dev,
-                         const flash::GnnSampleParams &params,
+GnnEngine::retireCommand(unsigned dev, const flash::GnnSampleParams &params,
                          flash::GnnSampleResult &result,
                          sim::Tick created, sim::Tick done,
                          std::uint64_t dram_bytes)
 {
-    Batch::Lane &lane = b->lanes[dev];
+    Batch::Lane &lane = batch->lanes[dev];
     lane.tally.dramBytes += dram_bytes;
     if (result.featureIncluded)
         lane.tally.featureBytes += result.featureBytes;
@@ -914,9 +920,9 @@ GnnEngine::retireCommand(const std::shared_ptr<Batch> &b, unsigned dev,
     }
     const unsigned channel =
         ports[dev].backend->codec().channelOf(params.ppa);
-    for (auto &f : result.follow) {
-        f.params.parentSlot = parent;
-        scheduleChild(b, f.params, done, channel, dev);
+    for (flash::GnnSampleParams &f : result.follow) {
+        f.parentSlot = parent;
+        scheduleChild(f, done, channel, dev);
     }
 
     const unsigned span = params.finalHop
@@ -927,11 +933,10 @@ GnnEngine::retireCommand(const std::shared_ptr<Batch> &b, unsigned dev,
 }
 
 void
-GnnEngine::scheduleChild(const std::shared_ptr<Batch> &b,
-                         flash::GnnSampleParams child, sim::Tick parsed,
+GnnEngine::scheduleChild(flash::GnnSampleParams child, sim::Tick parsed,
                          unsigned this_channel, unsigned dev)
 {
-    Batch::Lane &lane = b->lanes[dev];
+    Batch::Lane &lane = batch->lanes[dev];
     unsigned child_dev = dev;
     if (multiDevice() && !child.isSecondary) {
         // Primary follow-ups may target a node another device owns;
@@ -955,9 +960,9 @@ GnnEngine::scheduleChild(const std::shared_ptr<Batch> &b,
         // Same-device follow-up: the device schedules onto its own
         // local clock.
         homeQueue(dev).scheduleAt(
-            parsed, [this, b, child, this_channel, dev] {
-                streamCommand(b, child, homeQueue(dev).now(),
-                              this_channel, dev);
+            parsed, [this, child, this_channel, dev] {
+                streamCommand(child, homeQueue(dev).now(), this_channel,
+                              dev);
             });
         return;
     }
@@ -968,15 +973,14 @@ GnnEngine::scheduleChild(const std::shared_ptr<Batch> &b,
     // mailbox message — never scheduled onto the foreign queue, which
     // may be mid-window on another worker thread (DESIGN.md §13).
     sim::Grant link =
-        ports[dev].p2pOut->acquire(parsed, fabric.commandBytes);
+        ports[dev].p2pOut->acquire(parsed, kP2pCommandBytes);
     sim::Tick arrive = link.end + fabric.p2pLatency;
     ++lane.device.p2pForwards;
-    lane.device.p2pBytes += fabric.commandBytes;
+    lane.device.p2pBytes += kP2pCommandBytes;
     unsigned entry =
         ports[child_dev].backend->codec().channelOf(child.ppa);
     mailbox->post(child_dev,
-                  CrossMsg{arrive, dev, p2pSeq[dev]++, b, child,
-                           entry},
+                  CrossMsg{arrive, dev, lane.p2pSeq++, child, entry},
                   arrive, dev, homeQueue(dev).now());
 }
 // ====================================================================
@@ -1016,14 +1020,14 @@ featureTablePpa(const flash::FlashConfig &cfg, graph::NodeId node,
 
 } // namespace
 
-void
-GnnEngine::runHop(const std::shared_ptr<Batch> &b, unsigned hop,
-                  sim::Tick hop_start)
+sim::Tick
+GnnEngine::runHop(unsigned hop, sim::Tick hop_start,
+                  std::vector<Visit> &visits)
 {
     // The barrier pipeline is single-device (the constructor rejects
     // multi-device non-streaming platforms), so port 0 is the SSD and
     // lane 0 holds the whole batch.
-    Batch::Lane &lane = b->lanes[0];
+    Batch::Lane &lane = batch->lanes[0];
     flash::FlashBackend &backend = *ports[0].backend;
     ssd::Firmware &fw = *ports[0].fw;
     DieSampler &sampler = *ports[0].sampler;
@@ -1035,12 +1039,8 @@ GnnEngine::runHop(const std::shared_ptr<Batch> &b, unsigned hop,
     const bool host_sampling = _flags.sampling == SamplingLoc::Host;
     const bool final_hop = hop >= model.hops;
 
-    auto visits = std::move(b->nextVisits);
-    b->nextVisits.clear();
-    if (visits.empty()) {
-        lane.finishMax = hop_start;
-        return;
-    }
+    // The next hop's visits, accumulated this hop.
+    std::vector<Visit> next;
 
     // Every read of the hop is computed analytically and covers the
     // hop's span; the hop barrier is the span's last activity.
@@ -1136,12 +1136,12 @@ GnnEngine::runHop(const std::shared_ptr<Batch> &b, unsigned hop,
         if (!r.ok)
             lane.abort();
         const std::size_t first_new = pending_continuations.size();
-        for (const flash::EmittedCommand &f : r.follow) {
-            if (f.params.isSecondary) {
-                pending_continuations.push_back({0, f.params, slot});
-            } else if (auto sp = layout.find(dg::DgAddress(
-                           f.params.ppa, f.params.sectionIndex))) {
-                b->nextVisits.push_back({sp->node, slot});
+        for (const flash::GnnSampleParams &f : r.follow) {
+            if (f.isSecondary) {
+                pending_continuations.push_back({0, f, slot});
+            } else if (auto sp = layout.find(
+                           dg::DgAddress(f.ppa, f.sectionIndex))) {
+                next.push_back({sp->node, slot});
             }
         }
         const sim::Tick parsed = do_read(ready, p.ppa, r.frameBytes(),
@@ -1192,7 +1192,7 @@ GnnEngine::runHop(const std::shared_ptr<Batch> &b, unsigned hop,
             // features included (co-located format, see above); next-
             // hop node ids still return to the host for translation
             // each hop.
-            die_step(primaryParams(*b, v.node, hop), slot, hop_start);
+            die_step(primaryParams(v.node, hop), slot, hop_start);
         } else {
             // Host (CC, GLIST) or firmware (SmartSage, BG-1) sampling:
             // the full neighbour list is fetched — the primary page
@@ -1213,10 +1213,10 @@ GnnEngine::runHop(const std::shared_ptr<Batch> &b, unsigned hop,
                     static_cast<unsigned>(std::min<unsigned>(hop, 255)));
                 for (std::uint8_t i = 0; i < fan; ++i) {
                     auto r = static_cast<std::uint32_t>(sim::keyedBelow(
-                        model.seed, b->id,
+                        model.seed, batch->id,
                         static_cast<std::uint8_t>(hop), v.node, i,
                         nl.degree));
-                    b->nextVisits.push_back({g.neighbor(v.node, r), slot});
+                    next.push_back({g.neighbor(v.node, r), slot});
                 }
             }
 
@@ -1248,13 +1248,14 @@ GnnEngine::runHop(const std::shared_ptr<Batch> &b, unsigned hop,
     }
 
     sim::Tick last = std::max(hop_start, hop_span.last);
-    if (final_hop || b->nextVisits.empty()) {
+    if (final_hop || next.empty()) {
         lane.finishMax = last;
-        return;
+        visits.clear();
+        return last;
     }
 
     // Inter-hop host-SSD communication barrier (§III Challenge 1).
-    std::size_t n_children = b->nextVisits.size();
+    std::size_t n_children = next.size();
     sim::Tick host_time = host.translatePerNode * n_children;
     if (host_sampling)
         host_time += host.samplePerNode * visits.size();
@@ -1266,11 +1267,8 @@ GnnEngine::runHop(const std::shared_ptr<Batch> &b, unsigned hop,
         lane.tally.pcieBytes += 4ull * n_children;
         last = link.end;
     }
-    sim::Tick next_start = last + host_time + host.nvmeRoundTrip;
-    unsigned next_hop = hop + 1;
-    homeQueue(0).scheduleAt(next_start, [this, b, next_hop] {
-        runHop(b, next_hop, homeQueue(0).now());
-    });
+    visits = std::move(next);
+    return last + host_time + host.nvmeRoundTrip;
 }
 
 } // namespace beacongnn::engines

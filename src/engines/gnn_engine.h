@@ -191,9 +191,11 @@ struct DeviceHealth
  * never touch a foreign queue directly — they become timestamped
  * messages in a mutex-sharded mailbox, delivered at window boundaries
  * in a deterministically sorted order. The engine drives its device
- * queues itself: run() seeds a batch, runs the queues to quiescence
- * with its own driver and merges the lanes in fixed device order,
- * which makes the results byte-identical for every worker count.
+ * queues itself: run() owns the batch, seeds it, runs the queues to
+ * quiescence with its own driver and merges the lanes in fixed device
+ * order, which makes the results byte-identical for every worker
+ * count. A barrier batch is a loop over its hops inside run() and
+ * never touches a queue.
  */
 class GnnEngine
 {
@@ -227,16 +229,17 @@ class GnnEngine
 
     /**
      * Run one mini-batch to completion (the SubmitBatch command):
-     * schedule its events on the device queues from @p start, drive
-     * every queue to quiescence with the engine's conservative driver
-     * (one unbounded window on a single device), merge the per-device
-     * lanes in fixed device order and return the result.
+     * schedule a streaming batch's events on the device queues from
+     * @p start and drive every queue to quiescence with the engine's
+     * conservative driver (one unbounded window on a single device),
+     * or book a barrier batch hop by hop; merge the per-device lanes
+     * in fixed device order and return the result.
      */
     PrepResult run(sim::Tick start, std::uint64_t batch_id,
                    std::span<const graph::NodeId> targets);
 
-    /** Synchronization windows the driver has run over all batches
-     *  (a pure function of the event timeline, jobs-invariant). */
+    /** Synchronization windows the driver has run over all streaming
+     *  batches (a pure function of the event timeline, jobs-invariant). */
     std::uint64_t windows() const { return driver->windows(); }
 
     /**
@@ -281,6 +284,8 @@ class GnnEngine
     struct Batch;
     /** One cross-device command in flight through the mailbox. */
     struct CrossMsg;
+    /** One barrier-pipeline visit: a node and its parent's slot. */
+    struct Visit;
 
     /**
      * The driver's drain hook for device @p dev: take the device's
@@ -306,8 +311,7 @@ class GnnEngine
     /** Seed a streaming batch: group the targets by the device that
      *  serves them and schedule one injection event per device at
      *  @p ready. */
-    void seedStreaming(const std::shared_ptr<Batch> &b,
-                       std::span<const graph::NodeId> targets,
+    void seedStreaming(std::span<const graph::NodeId> targets,
                        sim::Tick ready);
 
     /** Merge a finished batch's per-device lanes into its result. */
@@ -315,8 +319,7 @@ class GnnEngine
 
     /** The primary-section command of @p node at hop @p hop
      *  (parentSlot unset): a streaming target or a BG-SP visit. */
-    flash::GnnSampleParams primaryParams(const Batch &b,
-                                         graph::NodeId node,
+    flash::GnnSampleParams primaryParams(graph::NodeId node,
                                          unsigned hop) const;
 
     /**
@@ -326,8 +329,7 @@ class GnnEngine
     sim::Tick broadcastConfig(sim::Tick start);
 
     /** Out-of-order (DirectGraph) pipeline: one command on @p dev. */
-    void streamCommand(const std::shared_ptr<Batch> &b,
-                       flash::GnnSampleParams params, sim::Tick ready,
+    void streamCommand(flash::GnnSampleParams params, sim::Tick ready,
                        unsigned from_channel, unsigned dev);
 
     /**
@@ -339,15 +341,13 @@ class GnnEngine
      * lane's subgraph fragment, schedules the follow-up commands at
      * @p done and covers the hop span [@p created, @p done].
      */
-    void retireCommand(const std::shared_ptr<Batch> &b, unsigned dev,
-                       const flash::GnnSampleParams &params,
+    void retireCommand(unsigned dev, const flash::GnnSampleParams &params,
                        flash::GnnSampleResult &result, sim::Tick created,
                        sim::Tick done, std::uint64_t dram_bytes);
 
     /** Schedule a follow-up command at @p parsed: locally on @p dev,
      *  or — when its node lives elsewhere — across the P2P fabric. */
-    void scheduleChild(const std::shared_ptr<Batch> &b,
-                       flash::GnnSampleParams child, sim::Tick parsed,
+    void scheduleChild(flash::GnnSampleParams child, sim::Tick parsed,
                        unsigned this_channel, unsigned dev);
 
     /** Primary-owner device of @p node (0 without a fabric table). */
@@ -376,9 +376,11 @@ class GnnEngine
                      graph::NodeId node, sim::Tick now,
                      std::uint64_t &fallbacks);
 
-    /** Hop-by-hop (barrier) pipeline: single-device, lane 0. */
-    void runHop(const std::shared_ptr<Batch> &b, unsigned hop,
-                sim::Tick hop_start);
+    /** Hop-by-hop (barrier) pipeline, single-device on lane 0: book
+     *  hop @p hop of @p visits from @p hop_start, replace @p visits
+     *  with the next hop's (none after the last) and return its start. */
+    sim::Tick runHop(unsigned hop, sim::Tick hop_start,
+                     std::vector<Visit> &visits);
 
     /** Per-device hardware (size >= 1; all components borrowed). */
     std::vector<DevicePort> ports;
@@ -388,12 +390,11 @@ class GnnEngine
     PrepFlags _flags;
     const dg::SectionSource &source;
     FabricConfig fabric;
+    /** The batch in flight: set on entry to run() and null again
+     *  before it returns, so a use outside a batch faults. */
+    std::unique_ptr<Batch> batch;
     /** Cross-device command mailbox (multi-device; else null). */
     std::unique_ptr<sim::Mailbox<CrossMsg>> mailbox;
-    /** Per-source-device message sequence numbers: the deterministic
-     *  tie-break of the mailbox sort. Each entry is touched only by
-     *  its own device's worker thread. */
-    std::vector<std::uint64_t> p2pSeq; // bgnlint:lane-owned
     /** Per-source-device replica routing state (DESIGN.md §17): how
      *  many commands lane `src` has routed to each destination (the
      *  "least-loaded" input). Kept per *source* lane — a shared

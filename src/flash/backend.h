@@ -115,10 +115,8 @@ class FlashBackend
     /** Aggregate busy time over all channels. */
     sim::Tick totalChannelBusy() const;
 
-    /** Backend page operations performed so far. */
+    /** Backend page reads performed so far. */
     std::uint64_t reads() const { return _reads; }
-    std::uint64_t programs() const { return _programs; }
-    std::uint64_t erases() const { return _erases; }
 
     /**
      * Arm the per-die disturbance model (DESIGN.md §17). Call before
@@ -127,7 +125,6 @@ class FlashBackend
      * stay byte-identical to the historical backend.
      */
     void setDisturb(const DisturbConfig &d);
-    const DisturbConfig &disturb() const { return _disturb; }
 
     /**
      * Kill one die at @p at: reads targeting it at or after that tick
@@ -135,11 +132,6 @@ class FlashBackend
      * die only for the command cycles that discover the failure.
      */
     void killDieAt(unsigned global_idx, sim::Tick at);
-
-    /** Read-retry rounds performed so far (all dies). */
-    std::uint64_t retries() const { return _retries; }
-    /** Reads that failed against a killed die so far. */
-    std::uint64_t failedReads() const { return _failedReads; }
 
     /**
      * Publish the backend's instruments into @p reg under the

@@ -52,8 +52,6 @@ struct FlashConfig
 
     std::uint64_t totalPages() const { return totalBlocks() * pagesPerBlock; }
 
-    std::uint64_t totalBytes() const { return totalPages() * pageSize; }
-
     /** Time to move @p bytes over one channel (excl. command cycles). */
     sim::Tick
     channelTime(std::uint64_t bytes) const

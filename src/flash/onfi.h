@@ -1,9 +1,9 @@
 /**
  * @file
- * ONFI command set, including the two customized GNN commands of
- * Section VI-C: a global GNN configuration command (issued once per
- * die before a task) and a sampling command (read a page + sample
- * neighbours on the die). Frames mirror Fig. 13 of the paper.
+ * Frames of the two customized ONFI GNN commands of Section VI-C: a
+ * global GNN configuration command (issued once per die before a
+ * task) and a sampling command (read a page + sample neighbours on
+ * the die). Frames mirror Fig. 13 of the paper.
  */
 
 #ifndef BEACONGNN_FLASH_ONFI_H
@@ -15,16 +15,6 @@
 #include "flash/address.h"
 
 namespace beacongnn::flash {
-
-/** ONFI opcode, extended with the BeaconGNN custom commands. */
-enum class OnfiOp : std::uint8_t
-{
-    ReadPage,    ///< 00h/30h page read into the cache register.
-    ProgramPage, ///< 80h/10h page program.
-    EraseBlock,  ///< 60h/D0h block erase.
-    GnnConfig,   ///< Custom: set global GNN parameters on the die.
-    GnnSample,   ///< Custom: read page + on-die neighbour sampling.
-};
 
 /**
  * Global GNN configuration delivered to every die before a task
@@ -87,34 +77,20 @@ struct GnnSampleParams
 };
 
 /**
- * One follow-up sampling command produced on-die and emitted in the
- * result frame (consumed by the channel-level router in BG-2 or the
- * firmware otherwise).
- */
-struct EmittedCommand
-{
-    GnnSampleParams params;
-};
-
-/**
  * Result frame of a sampling command (Fig. 13, "sampling results"):
  * header + retrieved feature vector (primary sections only) + the
- * in-page sampled neighbour addresses + follow-up commands for
- * neighbours resolved to other pages/sections.
+ * follow-up commands the die emits for the sampled neighbours
+ * (consumed by the channel-level router in BG-2 or the firmware
+ * otherwise).
  */
 struct GnnSampleResult
 {
     bool ok = true;               ///< Section checks passed (§VI-E).
     std::uint64_t nodeId = 0;     ///< Node the section belongs to.
-    std::uint8_t hop = 0;
-    std::uint32_t batchId = 0;
-    std::uint32_t parentSlot = 0;
     bool featureIncluded = false;
     std::uint32_t featureBytes = 0;
-    /** Sampled neighbour node ids (for subgraph reconstruction). */
-    std::vector<std::uint64_t> sampledNodes;
     /** Follow-up commands to route (next-hop / secondary reads). */
-    std::vector<EmittedCommand> follow;
+    std::vector<GnnSampleParams> follow;
     /** Per-edge coefficient payload bytes (GAT attention logits
      *  computed beside the sampler); zero for sum-style models. */
     std::uint32_t edgeCoeffBytes = 0;
@@ -126,7 +102,6 @@ struct GnnSampleResult
         std::uint32_t b = 16;
         if (featureIncluded)
             b += featureBytes;
-        b += static_cast<std::uint32_t>(sampledNodes.size()) * 4;
         b += static_cast<std::uint32_t>(follow.size()) * 12;
         b += edgeCoeffBytes;
         return b;

@@ -187,7 +187,6 @@ struct PlatformSession::Impl
 
         engines::FabricConfig fabric;
         fabric.p2pLatency = topo.p2pLatency;
-        fabric.commandBytes = topo.commandBytes;
         fabric.owner =
             partition.table().empty() ? nullptr : &partition.table();
         fabric.replication = topo.effectiveReplication();
@@ -230,12 +229,6 @@ sim::Tick
 PlatformSession::prepFree() const
 {
     return impl->prepFree;
-}
-
-std::uint32_t
-PlatformSession::batches() const
-{
-    return impl->batches;
 }
 
 BatchService
@@ -315,12 +308,6 @@ PlatformSession::runBatch(sim::Tick ready,
         s.active = model;
     }
     return runBatch(ready, targets);
-}
-
-const gnn::ModelSpec &
-PlatformSession::activeModel() const
-{
-    return impl->active;
 }
 
 RunResult

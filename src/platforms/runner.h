@@ -234,13 +234,6 @@ class PlatformSession
                           std::span<const graph::NodeId> targets,
                           const gnn::ModelSpec &model);
 
-    /** The model spec the next batch will run (bundle model, the
-     *  RunConfig override, or the last runBatch() override). */
-    const gnn::ModelSpec &activeModel() const;
-
-    /** Mini-batches run so far. */
-    std::uint32_t batches() const;
-
     /** Fold the accumulated statistics into a RunResult. */
     RunResult finish();
 

@@ -33,7 +33,6 @@ struct TopologyConfig
     unsigned devices = 1;            ///< BeaconGNN SSDs in the array.
     double p2pMBps = 4000.0;         ///< Per-device P2P port bandwidth.
     sim::Tick p2pLatency = sim::microseconds(1); ///< Link hop latency.
-    std::uint32_t commandBytes = 16; ///< Forwarded command descriptor.
     PartitionPolicy partition = PartitionPolicy::Hash;
     /**
      * Replication factor R of the placement layer (DESIGN.md §17):

@@ -67,29 +67,16 @@ serveWorkload(const platforms::PlatformConfig &platform,
             outcomes->push_back(o);
     };
 
+    // Split each dispatch into model-homogeneous sub-batches in stable
+    // model order; each sub-batch switches the engine to its spec
+    // (re-broadcasting the die configuration) and runs as its own
+    // platform batch on the serial prep stream. A single-model run is
+    // one group (every modelId is 0) on the session's own model.
+    const std::size_t groups = std::max<std::size_t>(1, specs.size());
     std::vector<graph::NodeId> targets;
     Dispatch d;
     while (batcher.next(session.prepFree(), d)) {
-        if (specs.empty()) {
-            targets.clear();
-            for (const Request &r : d.batch)
-                targets.push_back(r.target);
-
-            platforms::BatchService svc = session.runBatch(d.at, targets);
-            if (!svc.ok)
-                res.ok = false;
-
-            for (const Request &r : d.batch)
-                record(r, svc);
-            res.makespan = std::max(res.makespan, svc.computeEnd);
-            ++res.batches;
-            continue;
-        }
-        // Split the dispatch into model-homogeneous sub-batches in
-        // stable model order; each sub-batch switches the engine to
-        // its spec (re-broadcasting the die configuration) and runs
-        // as its own platform batch on the serial prep stream.
-        for (std::size_t mid = 0; mid < specs.size(); ++mid) {
+        for (std::size_t mid = 0; mid < groups; ++mid) {
             targets.clear();
             for (const Request &r : d.batch)
                 if (std::size_t{r.modelId} == mid)
@@ -98,14 +85,16 @@ serveWorkload(const platforms::PlatformConfig &platform,
                 continue;
 
             platforms::BatchService svc =
-                session.runBatch(d.at, targets, specs[mid]);
+                specs.empty() ? session.runBatch(d.at, targets)
+                              : session.runBatch(d.at, targets, specs[mid]);
             if (!svc.ok)
                 res.ok = false;
 
             for (const Request &r : d.batch)
                 if (std::size_t{r.modelId} == mid)
                     record(r, svc);
-            res.perModelRequests[mid] += targets.size();
+            if (!specs.empty())
+                res.perModelRequests[mid] += targets.size();
             res.makespan = std::max(res.makespan, svc.computeEnd);
             ++res.batches;
         }

@@ -95,18 +95,6 @@ class Firmware
         return _issueCores.busyTime() + _completeCores.busyTime();
     }
 
-    /** Mean embedded-core utilization over [0, horizon]. */
-    double
-    coreUtilization(sim::Tick horizon) const
-    {
-        if (horizon == 0)
-            return 0.0;
-        return static_cast<double>(coreBusyTime()) /
-               (static_cast<double>(horizon) *
-                static_cast<double>(_issueCores.size() +
-                                    _completeCores.size()));
-    }
-
     // ---- DirectGraph services ---------------------------------------
 
     /**

@@ -14,6 +14,7 @@
 #include "engines/gnn_engine.h"
 #include "graph/generator.h"
 #include "platforms/device_context.h"
+#include "platforms/runner.h"
 #include "sim/ordered.h"
 #include "sim/rng.h"
 
@@ -276,10 +277,10 @@ TEST(DieSampler, CoalescesSecondaryHits)
     std::map<std::uint32_t, int> per_addr;
     std::uint32_t total = 0;
     for (const auto &f : r.follow) {
-        if (f.params.isSecondary) {
-            dg::DgAddress a(f.params.ppa, f.params.sectionIndex);
+        if (f.isSecondary) {
+            dg::DgAddress a(f.ppa, f.sectionIndex);
             ++per_addr[a.raw];
-            total += f.params.sampleCount;
+            total += f.sampleCount;
         } else {
             ++total;
         }
@@ -348,8 +349,8 @@ TEST(DieSampler, RecursiveExpansionMatchesGoldenSampler)
                              w.p.hop, w.p.parentSlot);
         }
         for (auto f : r.follow) {
-            f.params.parentSlot = parent;
-            work.push_back({f.params});
+            f.parentSlot = parent;
+            work.push_back({f});
         }
     }
 
@@ -387,6 +388,9 @@ struct EngineRig : Rig
 {
     EngineRig() : Rig(true) {}
 
+    /** The last run's config-broadcast completion (0 without one). */
+    sim::Tick configuredAt = 0;
+
     /** One batch on a fresh single SSD wired for @p flags. */
     PrepResult
     run(const PrepFlags &flags, const dg::SectionSource &src,
@@ -397,7 +401,9 @@ struct EngineRig : Rig
         platforms::DeviceContext dev(platform, cfg, {}, model,
                                      layout.blocks, 0, false);
         GnnEngine engine({dev.port()}, layout, g, model, flags, src);
-        return engine.run(0, batch, targets);
+        PrepResult pr = engine.run(0, batch, targets);
+        configuredAt = engine.configuredAt();
+        return pr;
     }
 };
 
@@ -586,6 +592,51 @@ TEST(GnnEngine, DedupeHitMovesItsFrameThroughDram)
     EXPECT_EQ(twice.tally.flashReads, once.tally.flashReads);
     EXPECT_GE(twice.tally.dramBytes - once.tally.dramBytes,
               16u * (twice.dedupedReads - once.dedupedReads));
+}
+
+TEST(GnnEngine, EmptyBatchFinishesAtSubmit)
+{
+    // An empty mini-batch issues no command: it finishes when its
+    // SubmitBatch completes, after the die-sampling platforms' first-
+    // batch config broadcast, on the barrier (BG-1) and the streaming
+    // (BG-2) pipeline alike.
+    PrepFlags bg1; // Firmware sampling, no DirectGraph.
+    for (const PrepFlags &f :
+         {bg1, streamingFlags(SamplingLoc::Die, true)}) {
+        EngineRig rig;
+        PrepResult pr = rig.run(f, *rig.meta, {});
+        EXPECT_TRUE(pr.ok);
+        EXPECT_EQ(pr.commands, 0u);
+        EXPECT_EQ(pr.tally.flashReads, 0u);
+        EXPECT_EQ(pr.subgraph.size(), 0u);
+        EXPECT_EQ(rig.configuredAt > 0, f.directGraph);
+        EXPECT_EQ(pr.finish, rig.configuredAt + rig.cfg.host.batchOverhead +
+                                 rig.cfg.host.nvmeRoundTrip);
+    }
+
+    // And on a two-device BG-2 array, through the platform session.
+    ssd::SystemConfig sys;
+    graph::WorkloadSpec spec = graph::workload("amazon");
+    spec.simNodes = 2000;
+    auto bundle = platforms::makeBundle(spec, sys.flash, {});
+    platforms::RunConfig rc;
+    rc.topology.devices = 2;
+    platforms::PlatformSession session(
+        platforms::makePlatform(platforms::PlatformKind::BG2), rc,
+        *bundle);
+    platforms::BatchService svc = session.runBatch(0, {});
+    platforms::RunResult rr = session.finish();
+    const sim::Gauge *configured =
+        session.metrics().findGauge("engine.config_broadcast_ticks");
+    ASSERT_NE(configured, nullptr);
+    EXPECT_GT(configured->value(), 0.0);
+    EXPECT_TRUE(svc.ok && rr.ok);
+    EXPECT_EQ(rr.commands, 0u);
+    EXPECT_EQ(rr.tally.flashReads, 0u);
+    EXPECT_EQ(rr.lastSubgraph.size(), 0u);
+    EXPECT_EQ(svc.prepFinish,
+              static_cast<sim::Tick>(configured->value()) +
+                  sys.host.batchOverhead + sys.host.nvmeRoundTrip);
 }
 
 TEST(GnnEngine, TalliesAreConsistent)
