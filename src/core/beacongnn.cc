@@ -86,8 +86,8 @@ BeaconGnnSystem::runMiniBatch(std::span<const graph::NodeId> targets)
     gnn::ComputeWorkload w =
         gnn::measureCompute(out.prep.subgraph, opts.model);
     accel::ComputeEstimate est = _device->accelerator().estimate(w);
-    sim::Grant grant =
-        _device->accelBus().acquire(out.prep.finish, est.total());
+    sim::Grant grant = _device->compute(out.prep.finish, est.total(),
+                                        out.prep.perDevice[0].featureBytes);
     out.computeTime = est.total();
     out.finish = grant.end;
     return out;

@@ -22,7 +22,9 @@ DeviceContext::DeviceContext(const PlatformConfig &platform,
                engines::DieSamplerOptions{platform.flags.coalesceSecondary}),
       _accel(platform.flags.featuresViaHost
                  ? accel::discreteTpuConfig()
-                 : accel::ssdAcceleratorConfig())
+                 : accel::ssdAcceleratorConfig()),
+      _stageFeatures(!platform.flags.featuresViaHost &&
+                     !platform.flags.bypassDram)
 {
     // Mirror the bundle's block reservation in this device's FTL.
     // The layout's addresses are only valid if this FTL reserves the
@@ -65,6 +67,16 @@ DeviceContext::port()
     p.queue = &_queue;
     p.tracePidBase = tracePidBase();
     return p;
+}
+
+sim::Grant
+DeviceContext::compute(sim::Tick ready, sim::Tick service,
+                       std::uint64_t feature_bytes)
+{
+    sim::Grant g = _accelBus.acquire(ready, service);
+    if (_stageFeatures && feature_bytes > 0)
+        _fw.dram().acquire(g.start, feature_bytes);
+    return g;
 }
 
 std::uint32_t

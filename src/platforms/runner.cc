@@ -256,17 +256,8 @@ PlatformSession::runBatch(sim::Tick ready,
     sim::Tick compute_start = 0;
     sim::Tick compute_end = 0;
     for (std::size_t d = 0; d < s.devices.size(); ++d) {
-        DeviceContext &dev = *s.devices[d];
-        sim::Grant cg =
-            dev.accelBus().acquire(pr.finish, est.total() / ndev);
-        if (!s.platform.flags.featuresViaHost &&
-            pr.perDevice[d].featureBytes > 0 &&
-            !s.platform.flags.bypassDram) {
-            // Staged features stream DRAM -> accelerator SRAM (the
-            // §VIII direct flash->SRAM option skips both DRAM legs).
-            dev.firmware().dram().acquire(cg.start,
-                                          pr.perDevice[d].featureBytes);
-        }
+        sim::Grant cg = s.devices[d]->compute(
+            pr.finish, est.total() / ndev, pr.perDevice[d].featureBytes);
         compute_start = d == 0 ? cg.start
                                : std::min(compute_start, cg.start);
         compute_end = std::max(compute_end, cg.end);

@@ -113,6 +113,22 @@ TEST(BeaconGnnSystem, ConsecutiveBatchesAdvanceTime)
     EXPECT_EQ(c1[0], c2[0]);
 }
 
+TEST(BeaconGnnSystem, ComputeStagesFeaturesThroughDram)
+{
+    // The facade books its compute stage as a platform session does:
+    // the features the device prepared stream DRAM -> accelerator
+    // SRAM on top of the prep traffic.
+    BeaconGnnSystem sys(testGraph(), graph::FeatureTable(24, 3),
+                        smallOptions());
+    const std::uint64_t before = sys.firmware().dram().bytesMoved();
+    std::vector<graph::NodeId> targets = {1, 99, 500, 7};
+    MiniBatchResult r = sys.runMiniBatch(targets);
+    ASSERT_TRUE(r.prep.ok);
+    ASSERT_GT(r.prep.perDevice[0].featureBytes, 0u);
+    EXPECT_EQ(sys.firmware().dram().bytesMoved() - before,
+              r.prep.tally.dramBytes + r.prep.perDevice[0].featureBytes);
+}
+
 TEST(BeaconGnnSystem, ScrubRepairsInjectedFault)
 {
     graph::Graph g = testGraph();
