@@ -62,9 +62,6 @@ class MicroBatcher
      */
     bool next(sim::Tick server_free, Dispatch &out);
 
-    /** Requests not yet dispatched (queued + future arrivals). */
-    std::size_t remaining() const { return queue.size() + pending.size() - cursor; }
-
     /** Deepest queued backlog seen so far. */
     std::size_t peakDepth() const { return queue.peakDepth(); }
 

@@ -3,13 +3,6 @@
 namespace beacongnn::sim {
 
 namespace {
-int gLogLevel = 1;
-} // namespace
-
-int logLevel() { return gLogLevel; }
-void setLogLevel(int level) { gLogLevel = level; }
-
-namespace detail {
 
 void
 emit(const char *tag, const std::string &msg)
@@ -17,39 +10,25 @@ emit(const char *tag, const std::string &msg)
     std::fprintf(stderr, "%s: %s\n", tag, msg.c_str());
 }
 
-} // namespace detail
-
-void
-inform(const std::string &msg)
-{
-    if (gLogLevel >= 1)
-        detail::emit("info", msg);
-}
+} // namespace
 
 void
 warn(const std::string &msg)
 {
-    detail::emit("warn", msg);
-}
-
-void
-debug(const std::string &msg)
-{
-    if (gLogLevel >= 2)
-        detail::emit("debug", msg);
+    emit("warn", msg);
 }
 
 void
 panic(const std::string &msg)
 {
-    detail::emit("panic", msg);
+    emit("panic", msg);
     std::abort();
 }
 
 void
 fatal(const std::string &msg)
 {
-    detail::emit("fatal", msg);
+    emit("fatal", msg);
     std::exit(1);
 }
 

@@ -1,8 +1,9 @@
 /**
  * @file
- * Minimal levelled logging, gem5-flavoured: inform/warn for user-facing
- * conditions, panic for internal invariant violations (aborts), fatal
- * for unrecoverable user configuration errors (clean exit).
+ * Minimal gem5-flavoured diagnostics on stderr: warn for suspicious
+ * but survivable conditions, panic for internal invariant violations
+ * (aborts), fatal for unrecoverable user configuration errors (clean
+ * exit).
  */
 
 #ifndef BEACONGNN_SIM_LOG_H
@@ -14,24 +15,8 @@
 
 namespace beacongnn::sim {
 
-/** Global log verbosity. 0 = quiet, 1 = inform, 2 = debug. */
-int logLevel();
-
-/** Set global log verbosity. */
-void setLogLevel(int level);
-
-namespace detail {
-void emit(const char *tag, const std::string &msg);
-} // namespace detail
-
-/** Status message for the user; suppressed when logLevel() < 1. */
-void inform(const std::string &msg);
-
 /** Something works, but suspiciously; always printed. */
 void warn(const std::string &msg);
-
-/** Debug detail; suppressed when logLevel() < 2. */
-void debug(const std::string &msg);
 
 /**
  * Internal invariant violated — a simulator bug. Prints and aborts

@@ -28,15 +28,8 @@ constexpr Tick milliseconds(std::uint64_t n) { return n * 1000000ull; }
 constexpr Tick seconds(std::uint64_t n) { return n * 1000000000ull; }
 ///@}
 
-/** @name Size constructors (bytes) */
-///@{
+/** Bytes in @p n KiB. */
 constexpr std::uint64_t kib(std::uint64_t n) { return n * 1024ull; }
-constexpr std::uint64_t mib(std::uint64_t n) { return n * 1024ull * 1024ull; }
-constexpr std::uint64_t gib(std::uint64_t n)
-{
-    return n * 1024ull * 1024ull * 1024ull;
-}
-///@}
 
 /**
  * Convert a bandwidth given in MB/s (decimal, as vendor datasheets quote

@@ -37,7 +37,6 @@ struct ControllerConfig
     sim::Tick ftlLookupTime = sim::nanoseconds(100);
 
     double dramMBps = 8000.0;              ///< SSD DRAM bandwidth.
-    sim::Tick dramLatency = sim::nanoseconds(150);
 };
 
 /** Hardware NDP engine latencies (§V). */
