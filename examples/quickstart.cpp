@@ -57,8 +57,9 @@ main()
     MiniBatchResult r = sys.runMiniBatch(targets);
 
     std::printf("\nMini-batch of %zu targets:\n", targets.size());
-    std::printf("  subgraph nodes     : %zu (%u per target)\n",
-                r.prep.subgraph.size(), opts.model.subgraphNodes());
+    std::printf("  subgraph nodes     : %zu (%llu per target)\n",
+                r.prep.subgraph.size(),
+                static_cast<unsigned long long>(opts.model.subgraphNodes()));
     std::printf("  flash commands     : %llu\n",
                 static_cast<unsigned long long>(r.prep.commands));
     std::printf("  data preparation   : %.1f us\n",

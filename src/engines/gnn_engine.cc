@@ -132,6 +132,7 @@ constexpr std::uint32_t kP2pCommandBytes = 16;
 constexpr unsigned kSlotBits = 24;
 constexpr std::uint32_t kSlotMask = (1u << kSlotBits) - 1;
 static_assert(GnnEngine::kMaxDevices == 1u << (32 - kSlotBits));
+static_assert(GnnEngine::kSlotsPerDevice == kSlotMask);
 
 std::uint32_t
 packSlot(unsigned dev, std::uint32_t local)
@@ -242,7 +243,7 @@ struct GnnEngine::Batch
         add(unsigned dev, graph::NodeId node, std::uint8_t hop,
             gnn::Slot parent)
         {
-            if (frag.size() >= kSlotMask)
+            if (frag.size() >= kSlotsPerDevice)
                 sim::fatal("GnnEngine: device subgraph fragment "
                            "overflows the packed slot space");
             frag.push_back({node, hop, parent});

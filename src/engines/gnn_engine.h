@@ -203,6 +203,9 @@ class GnnEngine
     /** Most devices one engine drives: an array command's parent slot
      *  packs its device into 8 bits of the subgraph slot. */
     static constexpr unsigned kMaxDevices = 256;
+    /** Most subgraph entries one device holds per batch: the other 24
+     *  bits of the slot, one short of all ones (the root slot). */
+    static constexpr std::uint32_t kSlotsPerDevice = (1u << 24) - 1;
 
     /**
      * @param ports    Per-device hardware (size >= 1; borrowed), each

@@ -112,6 +112,27 @@ namespace {
 
 const char *const kTool = "bgnsim";
 
+/** check() plus the subgraph-size rule: a batch's full subgraphs must
+ *  fit the devices' slot space, or the engine stops the run with a
+ *  fatal error. Vertex programs (--algo) sample hops 0 and are
+ *  exempt. */
+std::string
+checkSim(const SimOptions &o)
+{
+    std::string err = check(o);
+    const std::uint64_t batch = o.run.batchSize;
+    const std::uint64_t nodes = o.model.subgraphNodes();
+    const std::uint64_t slots = std::uint64_t{o.run.topology.devices} *
+                                engines::GnnEngine::kSlotsPerDevice;
+    if (err.empty() && !o.algo && batch > 0 && nodes > slots / batch)
+        err = "--hops " + std::to_string(o.model.hops) + ": " +
+              std::to_string(batch) + " targets x " +
+              std::to_string(nodes) + " subgraph nodes exceed the " +
+              std::to_string(slots) + " slots of " +
+              std::to_string(o.run.topology.devices) + " device(s)";
+    return err;
+}
+
 PlatformConfig
 configured(const SimOptions &o, PlatformKind kind)
 {
@@ -235,7 +256,7 @@ int
 main(int argc, char **argv)
 {
     SimOptions o;
-    parseOrExit(kTool, simFlags(o), argc, argv, [&] { return check(o); });
+    parseOrExit(kTool, simFlags(o), argc, argv, [&] { return checkSim(o); });
     Grid grid(o, o.model);
     return o.algo ? runAlgo(o, grid) : runGnn(o, grid);
 }
