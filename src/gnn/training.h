@@ -1,10 +1,13 @@
 /**
  * @file
- * GNN training substrate: backpropagation through the message-passing
+ * GNN training substrate: backpropagation through gcn's message-passing
  * forward pass (sum-aggregation + perceptron layers) and SGD weight
  * updates. The paper's evaluation runs GNN *training* (§VII-A); this
  * module makes the reproduction's mini-batches real training steps
- * rather than inference-only passes.
+ * rather than inference-only passes. The activations come from the
+ * one message-passing kernel (forwardLayers() in compute.h), so
+ * forwardWith() and evaluateLoss() run every model kind; trainStep()
+ * differentiates gcn only and stops with sim::fatal on gin or gat.
  *
  * The objective is a regression against deterministic pseudo-labels
  * (a stand-in for the task head — gradients through the GNN body are
@@ -30,7 +33,7 @@ struct TrainState
     /** weights[l-1] is layer l's matrix, row-major n_out x n_in. */
     std::vector<std::vector<float>> weights;
 
-    /** Initialize from the deterministic makeWeights() seeds. */
+    /** Initialize from the deterministic updateWeights(). */
     static TrainState init(const ModelConfig &m);
 
     /** Layer l's input dimension. */
@@ -55,10 +58,10 @@ struct StepResult
 };
 
 /**
- * One SGD step on a sampled mini-batch subgraph: forward with cached
- * activations, MSE loss on the hop-0 embeddings against pseudo-
- * labels, full backpropagation through aggregation and ReLU, and an
- * in-place weight update.
+ * One SGD step of a gcn model on a sampled mini-batch subgraph:
+ * forward through forwardLayers(), MSE loss on the hop-0 embeddings
+ * against pseudo-labels, full backpropagation through aggregation and
+ * ReLU, and an in-place weight update.
  *
  * @param sg       Mini-batch subgraph.
  * @param features h^0 features.
@@ -74,8 +77,9 @@ StepResult trainStep(const Subgraph &sg,
                      std::vector<std::vector<float>> *grad_out = nullptr);
 
 /**
- * Forward pass using explicit weights (rather than the deterministic
- * makeWeights) — evaluation companion to trainStep.
+ * Forward pass using explicit update weights (rather than the
+ * deterministic makeWeights) — evaluation companion to trainStep;
+ * forward() bit for bit at TrainState::init().
  */
 std::vector<std::vector<float>> forwardWith(
     const Subgraph &sg, const graph::FeatureTable &features,
