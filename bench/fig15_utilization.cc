@@ -95,7 +95,7 @@ latencyBreakdown()
                         sys.flash.totalDies(),
                     r.channelUtil * total,
                     r.coreUtil * total,
-                    sim::toMillis(r.hostBusy),
+                    sim::toMillis(r.tally.hostCpuBusy),
                     sim::toMillis(r.accelBusy));
     }
     std::printf("Paper: CC is dominated by PCIe transfer; BG-1 by "

@@ -40,6 +40,17 @@ struct ComputeEstimate
     std::uint64_t sramBytes = 0;
 
     sim::Tick total() const { return aggregateTime + gemmTime; }
+
+    /** Sum another mini-batch's estimate into this one. */
+    void
+    merge(const ComputeEstimate &other)
+    {
+        aggregateTime += other.aggregateTime;
+        gemmTime += other.gemmTime;
+        macs += other.macs;
+        vectorOps += other.vectorOps;
+        sramBytes += other.sramBytes;
+    }
 };
 
 /**
@@ -86,11 +97,13 @@ class Accelerator
     AcceleratorConfig cfg;
 };
 
-/** Add one mini-batch's compute estimate into `accel.*` counters. */
+/** Add @p jobs mini-batches' summed estimate @p e into `accel.*`
+ *  counters. */
 inline void
-publishEstimate(sim::MetricRegistry &reg, const ComputeEstimate &e)
+publishEstimate(sim::MetricRegistry &reg, const ComputeEstimate &e,
+                std::uint64_t jobs)
 {
-    reg.counter("accel.jobs").add(1);
+    reg.counter("accel.jobs").add(jobs);
     reg.counter("accel.macs").add(e.macs);
     reg.counter("accel.vector_ops").add(e.vectorOps);
     reg.counter("accel.sram_bytes").add(e.sramBytes);

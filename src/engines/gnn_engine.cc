@@ -42,34 +42,15 @@ CmdStats::merge(const CmdStats &other)
 }
 
 void
-CmdStats::publish(sim::MetricRegistry &reg,
-                  const std::string &prefix) const
+CmdStats::publish(sim::MetricRegistry &reg) const
 {
-    reg.accum(prefix + ".wait_before_us").merge(waitBefore);
-    reg.accum(prefix + ".flash_time_us").merge(flashTime);
-    reg.accum(prefix + ".wait_after_us").merge(waitAfter);
-    reg.accum(prefix + ".lifetime_us").merge(lifetime);
-    reg.histogram(prefix + ".lifetime_us_hist", lifetimeHist.bucketWidth(),
+    reg.accum("engine.cmd.wait_before_us").merge(waitBefore);
+    reg.accum("engine.cmd.flash_time_us").merge(flashTime);
+    reg.accum("engine.cmd.wait_after_us").merge(waitAfter);
+    reg.accum("engine.cmd.lifetime_us").merge(lifetime);
+    reg.histogram("engine.cmd.lifetime_us_hist", lifetimeHist.bucketWidth(),
                   lifetimeHist.buckets().size())
         .merge(lifetimeHist);
-}
-
-CmdStats
-CmdStats::fromRegistry(const sim::MetricRegistry &reg,
-                       const std::string &prefix)
-{
-    CmdStats s;
-    if (const auto *a = reg.findAccum(prefix + ".wait_before_us"))
-        s.waitBefore = *a;
-    if (const auto *a = reg.findAccum(prefix + ".flash_time_us"))
-        s.flashTime = *a;
-    if (const auto *a = reg.findAccum(prefix + ".wait_after_us"))
-        s.waitAfter = *a;
-    if (const auto *a = reg.findAccum(prefix + ".lifetime_us"))
-        s.lifetime = *a;
-    if (const auto *h = reg.findHistogram(prefix + ".lifetime_us_hist"))
-        s.lifetimeHist = *h;
-    return s;
 }
 
 void
@@ -85,35 +66,15 @@ PrepTally::merge(const PrepTally &other)
 }
 
 void
-PrepTally::publish(sim::MetricRegistry &reg,
-                   const std::string &prefix) const
+PrepTally::publish(sim::MetricRegistry &reg) const
 {
-    reg.counter(prefix + ".flash_reads").add(flashReads);
-    reg.counter(prefix + ".channel_bytes").add(channelBytes);
-    reg.counter(prefix + ".dram_bytes").add(dramBytes);
-    reg.counter(prefix + ".pcie_bytes").add(pcieBytes);
-    reg.counter(prefix + ".host_cpu_busy_ticks").add(hostCpuBusy);
-    reg.counter(prefix + ".feature_bytes").add(featureBytes);
-    reg.counter(prefix + ".aborted_commands").add(abortedCommands);
-}
-
-PrepTally
-PrepTally::fromRegistry(const sim::MetricRegistry &reg,
-                        const std::string &prefix)
-{
-    auto get = [&](const char *name) -> std::uint64_t {
-        const sim::Counter *c = reg.findCounter(prefix + "." + name);
-        return c ? c->value() : 0;
-    };
-    PrepTally t;
-    t.flashReads = get("flash_reads");
-    t.channelBytes = get("channel_bytes");
-    t.dramBytes = get("dram_bytes");
-    t.pcieBytes = get("pcie_bytes");
-    t.hostCpuBusy = get("host_cpu_busy_ticks");
-    t.featureBytes = get("feature_bytes");
-    t.abortedCommands = get("aborted_commands");
-    return t;
+    reg.counter("engine.flash_reads").add(flashReads);
+    reg.counter("engine.channel_bytes").add(channelBytes);
+    reg.counter("engine.dram_bytes").add(dramBytes);
+    reg.counter("engine.pcie_bytes").add(pcieBytes);
+    reg.counter("engine.host_cpu_busy_ticks").add(hostCpuBusy);
+    reg.counter("engine.feature_bytes").add(featureBytes);
+    reg.counter("engine.aborted_commands").add(abortedCommands);
 }
 
 namespace {

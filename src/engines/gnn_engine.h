@@ -76,7 +76,8 @@ struct PrepFlags
     bool bypassDram = false;
 };
 
-/** Aggregated flash-command lifetime statistics (Fig. 17). */
+/** Flash-command lifetime statistics (Fig. 17): one batch's, or the
+ *  run total the platform session merges batch by batch. */
 struct CmdStats
 {
     sim::Accumulator waitBefore; ///< created -> sense start.
@@ -95,15 +96,8 @@ struct CmdStats
     /** Exact merge of another batch's statistics. */
     void merge(const CmdStats &other);
 
-    /** Merge into @p reg under `<prefix>.*` (the registry's merge
-     *  path: one call per batch accumulates the run totals). */
-    void publish(sim::MetricRegistry &reg,
-                 const std::string &prefix = "engine.cmd") const;
-
-    /** Rebuild the aggregate from a registry (inverse of publish;
-     *  zeros when the instruments are absent). */
-    static CmdStats fromRegistry(const sim::MetricRegistry &reg,
-                                 const std::string &prefix = "engine.cmd");
+    /** Merge into @p reg's `engine.cmd.*` instruments. */
+    void publish(sim::MetricRegistry &reg) const;
 };
 
 /** First/last activity of one hop (Fig. 16). */
@@ -120,7 +114,8 @@ struct HopSpan
     }
 };
 
-/** Byte/operation tallies feeding the energy model. */
+/** Byte/operation tallies feeding the energy model: one batch's, or
+ *  the run total the platform session merges batch by batch. */
 struct PrepTally
 {
     std::uint64_t flashReads = 0;   ///< Pages sensed.
@@ -134,13 +129,8 @@ struct PrepTally
     /** Sum another batch's tallies into this one. */
     void merge(const PrepTally &other);
 
-    /** Add into @p reg counters under `<prefix>.*`. */
-    void publish(sim::MetricRegistry &reg,
-                 const std::string &prefix = "engine") const;
-
-    /** Rebuild the totals from a registry (inverse of publish). */
-    static PrepTally fromRegistry(const sim::MetricRegistry &reg,
-                                  const std::string &prefix = "engine");
+    /** Add into @p reg's `engine.*` counters. */
+    void publish(sim::MetricRegistry &reg) const;
 };
 
 /** Result of one mini-batch data preparation. */

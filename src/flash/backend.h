@@ -141,14 +141,6 @@ class FlashBackend
      */
     void publishMetrics(sim::MetricRegistry &reg) const;
 
-    /** Full metric name of one die's instrument (@p global_idx as in
-     *  die()), e.g. dieMetricName(5, "sense_ticks"). */
-    std::string dieMetricName(unsigned global_idx,
-                              const char *instrument) const;
-    /** Full metric name of one channel's instrument. */
-    std::string channelMetricName(unsigned channel,
-                                  const char *instrument) const;
-
     /**
      * Attach a Chrome-trace sink: every subsequent read/program/erase
      * emits complete events on per-die and per-channel tracks. Also
@@ -167,6 +159,14 @@ class FlashBackend
     void resetStats();
 
   private:
+    /** Full metric name of one die's instrument (@p global_idx as in
+     *  die()), e.g. dieMetricName(5, "sense_ticks"). */
+    std::string dieMetricName(unsigned global_idx,
+                              const char *instrument) const;
+    /** Full metric name of one channel's instrument. */
+    std::string channelMetricName(unsigned channel,
+                                  const char *instrument) const;
+
     FlashConfig cfg;
     AddressCodec _codec;
     std::vector<sim::Bus> channels;

@@ -101,7 +101,7 @@ DeviceContext::publishMetrics(sim::MetricRegistry &reg) const
         reg.gauge("engine.router.peak_queue")
             .set(static_cast<double>(s.peakQueue));
     }
-    reg.counter("accel.busy_ticks").add(_accelBus.busyTime());
+    reg.counter("accel.busy_ticks").add(accelBusy());
 }
 
 void

@@ -80,6 +80,8 @@ class DeviceContext
      */
     sim::Grant compute(sim::Tick ready, sim::Tick service,
                        std::uint64_t feature_bytes);
+    /** Ticks the accelerator has been busy with compute jobs. */
+    sim::Tick accelBusy() const { return _accelBus.busyTime(); }
 
     /** Outbound P2P port (nullptr on a single device). */
     sim::BandwidthResource *p2pOut() { return _p2p.get(); }

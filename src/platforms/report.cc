@@ -26,8 +26,8 @@ writeCsvRow(std::ostream &os, const RunResult &r)
        << r.tally.pcieBytes << ',' << r.tally.featureBytes << ','
        << r.tally.abortedCommands << ',' << r.dieUtil << ','
        << r.channelUtil << ',' << r.coreUtil << ',' << r.dramUtil
-       << ',' << r.pcieUtil << ',' << r.hostBusy << ',' << r.accelBusy
-       << ',' << r.cmdStats.waitBefore.mean() << ','
+       << ',' << r.pcieUtil << ',' << r.tally.hostCpuBusy << ','
+       << r.accelBusy << ',' << r.cmdStats.waitBefore.mean() << ','
        << r.cmdStats.flashTime.mean() << ','
        << r.cmdStats.waitAfter.mean() << ','
        << r.cmdStats.lifetime.mean() << ',' << r.energy.total() << ','

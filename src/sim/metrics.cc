@@ -131,18 +131,6 @@ MetricRegistry::findAccum(const std::string &name) const
     return find<Accumulator>(instruments, name);
 }
 
-const Histogram *
-MetricRegistry::findHistogram(const std::string &name) const
-{
-    return find<Histogram>(instruments, name);
-}
-
-const IntervalTrace *
-MetricRegistry::findInterval(const std::string &name) const
-{
-    return find<IntervalTrace>(instruments, name);
-}
-
 bool
 MetricRegistry::contains(const std::string &name) const
 {

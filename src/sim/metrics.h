@@ -83,8 +83,6 @@ class MetricRegistry
     const Counter *findCounter(const std::string &name) const;
     const Gauge *findGauge(const std::string &name) const;
     const Accumulator *findAccum(const std::string &name) const;
-    const Histogram *findHistogram(const std::string &name) const;
-    const IntervalTrace *findInterval(const std::string &name) const;
 
     bool contains(const std::string &name) const;
     std::size_t size() const { return instruments.size(); }
