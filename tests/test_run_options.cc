@@ -342,6 +342,13 @@ TEST(RunOptions, CrossFlagChecks)
     EXPECT_EQ(check(o), "--die-kill names device 2 of a 2-device topology");
 
     o = SimOptions();
+    ASSERT_EQ(parseSim(o, {"bgnsim", "--channels", "1", "--dies", "2",
+                           "--die-kill", "0.3@10"})
+                  .error,
+              "");
+    EXPECT_EQ(check(o), "--die-kill names die 3 of a 2-die device");
+
+    o = SimOptions();
     ASSERT_EQ(parseSim(o, {"bgnsim", "--devices", "2", "--platform",
                            "BG-2,CC"})
                   .error,

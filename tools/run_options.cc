@@ -242,11 +242,17 @@ check(const RunOptions &o, std::size_t points)
                " (the engine's device limit)";
     if (t.replication == 0)
         return std::string(kReplication) + " must be >= 1";
-    for (const platforms::KillEvent &k : o.run.kills)
+    const unsigned dies = o.run.system.flash.totalDies();
+    for (const platforms::KillEvent &k : o.run.kills) {
         if (k.device >= t.devices)
             return std::string(kDieKill) + " names device " +
                    std::to_string(k.device) + " of a " +
                    std::to_string(t.devices) + "-device topology";
+        if (k.die >= 0 && static_cast<unsigned>(k.die) >= dies)
+            return std::string(kDieKill) + " names die " +
+                   std::to_string(k.die) + " of a " +
+                   std::to_string(dies) + "-die device";
+    }
     for (platforms::PlatformKind kind : o.kinds) {
         const platforms::PlatformConfig p = platforms::makePlatform(kind);
         if (t.multi() && !p.flags.directGraph)
