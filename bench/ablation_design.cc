@@ -23,7 +23,6 @@
 
 #include "accel/systolic.h"
 #include "platforms/device_context.h"
-#include "sim/ordered.h"
 
 using namespace bench;
 
@@ -96,8 +95,10 @@ stripingAblation()
         // Count distinct dies the layout touches.
         std::set<unsigned> dies;
         flash::AddressCodec codec(sys.flash);
-        for (auto ppa : sim::sortedKeys(layout.pages))
-            dies.insert(codec.globalDieOf(ppa));
+        layout.directory.forEachPage(
+            [&](flash::Ppa ppa, std::span<const dg::SectionPlacement>) {
+                dies.insert(codec.globalDieOf(ppa));
+            });
 
         // Time BG-2 on this layout.
         auto p = platforms::makePlatform(PlatformKind::BG2);
@@ -150,7 +151,7 @@ packingAblation()
         opts.openPagePool = pool;
         auto layout = dg::buildLayout(g, feat, sys.flash, blocks, opts);
         std::printf("%10u %12zu %11.1f%%\n", pool,
-                    layout.pages.size(), layout.stats.inflatePct());
+                    layout.directory.pageCount(), layout.stats.inflatePct());
     }
     std::printf("A deeper best-fit pool packs mixed-size sections "
                 "tighter (the paper's\n\"linked array\" compaction); "

@@ -39,7 +39,7 @@ main()
                 "stored as DirectGraph\n(%zu flash pages). 12 epochs x "
                 "8 mini-batches of 64 targets, SGD lr=0.3.\n\n",
                 ssd.model().hops, g.numNodes(),
-                ssd.layout().pages.size());
+                ssd.layout().directory.pageCount());
     std::printf("%6s %12s %12s %14s %14s\n", "epoch", "loss",
                 "grad-norm", "prep us/batch", "train MMACs");
 

@@ -5,7 +5,6 @@
 #include <string>
 
 #include "sim/log.h"
-#include "sim/ordered.h"
 
 namespace beacongnn::dg {
 
@@ -65,6 +64,7 @@ planNode(std::uint32_t degree, std::uint32_t feat_bytes,
 struct OpenPage
 {
     flash::Ppa ppa;
+    std::uint32_t ordinal;      ///< Page ordinal in the reserved blocks.
     std::uint32_t used = 0;     ///< Aligned high-water mark.
     std::uint32_t sections = 0;
 };
@@ -77,10 +77,11 @@ class Packer
 {
   public:
     Packer(DirectGraphLayout &layout_,
+           std::vector<SectionDirectory::Placed> &placed_,
            std::span<const flash::BlockId> blocks_,
            const flash::FlashConfig &cfg_, const BuilderOptions &opts,
            std::uint64_t &pages_used, std::uint64_t &blocks_touched)
-        : layout(layout_), blocks(blocks_), cfg(cfg_),
+        : layout(layout_), placed(placed_), blocks(blocks_), cfg(cfg_),
           poolLimit(std::max(1u, opts.openPagePool)),
           pagesUsed(pages_used), blocksTouched(blocks_touched)
     {
@@ -96,7 +97,7 @@ class Packer
 
     /**
      * Place a section of @p size unpadded bytes.
-     * @return Its DgAddress; records the placement in the layout.
+     * @return Its DgAddress; records the placement for the directory.
      */
     DgAddress
     place(graph::NodeId node, SectionType type, std::uint32_t size,
@@ -131,7 +132,7 @@ class Packer
                 pool.erase(pool.begin() +
                            static_cast<std::ptrdiff_t>(fullest));
             }
-            pool.push_back(OpenPage{nextPage(), 0, 0});
+            pool.push_back(nextPage());
             best = static_cast<int>(pool.size() - 1);
         }
         OpenPage &p = pool[static_cast<std::size_t>(best)];
@@ -144,7 +145,7 @@ class Packer
         sp.byteOffset = offset;
         sp.byteSize = size;
         sp.secondaryIdx = secondary_idx;
-        layout.pages[p.ppa].sections.push_back(sp);
+        placed.push_back({p.ordinal, sp});
 
         p.used = offset + size;
         ++p.sections;
@@ -153,7 +154,7 @@ class Packer
     }
 
   private:
-    flash::Ppa
+    OpenPage
     nextPage()
     {
         std::uint64_t idx = pagesUsed++;
@@ -166,11 +167,14 @@ class Packer
             sim::fatal("DirectGraph build: reserved block list exhausted");
         flash::BlockId b = blocks[block_slot];
         blocksTouched = std::max(blocksTouched, block_slot + 1);
-        return b * cfg.pagesPerBlock +
-               static_cast<flash::Ppa>(page_in_block);
+        return OpenPage{
+            b * cfg.pagesPerBlock + static_cast<flash::Ppa>(page_in_block),
+            static_cast<std::uint32_t>(block_slot * cfg.pagesPerBlock +
+                                       page_in_block)};
     }
 
     DirectGraphLayout &layout;
+    std::vector<SectionDirectory::Placed> &placed;
     std::span<const flash::BlockId> blocks;
     const flash::FlashConfig &cfg;
     unsigned poolLimit;
@@ -215,10 +219,12 @@ buildLayout(const graph::Graph &g, const graph::FeatureTable &features,
 
     // ---- Step 1: plan sections per node -------------------------
     std::vector<NodePlan> plans(n);
+    std::size_t sections = n;
     for (graph::NodeId v = 0; v < n; ++v) {
         plans[v] = planNode(g.degree(v), feat_bytes, cfg.pageSize);
         layout.nodes[v].degree = g.degree(v);
         layout.nodes[v].inPage = plans[v].inPage;
+        sections += plans[v].secondaryCounts.size();
     }
 
     // ---- Step 1b: map sections to physical pages ----------------
@@ -226,7 +232,9 @@ buildLayout(const graph::Graph &g, const graph::FeatureTable &features,
     // (the two page types of Fig. 8) drawn from one page sequence.
     std::uint64_t pages_used = 0;
     std::uint64_t blocks_touched = 0;
-    Packer primary_packer(layout, blocks, cfg, opts, pages_used,
+    std::vector<SectionDirectory::Placed> placed;
+    placed.reserve(sections);
+    Packer primary_packer(layout, placed, blocks, cfg, opts, pages_used,
                           blocks_touched);
     for (graph::NodeId v = 0; v < n; ++v) {
         const auto &plan = plans[v];
@@ -248,7 +256,7 @@ buildLayout(const graph::Graph &g, const graph::FeatureTable &features,
     }
     layout.stats.primaryPages = pages_used;
 
-    Packer secondary_packer(layout, blocks, cfg, opts, pages_used,
+    Packer secondary_packer(layout, placed, blocks, cfg, opts, pages_used,
                             blocks_touched);
     for (graph::NodeId v = 0; v < n; ++v) {
         const auto &plan = plans[v];
@@ -269,6 +277,8 @@ buildLayout(const graph::Graph &g, const graph::FeatureTable &features,
     layout.blocks.assign(
         blocks.begin(),
         blocks.begin() + static_cast<std::ptrdiff_t>(blocks_touched));
+    layout.directory =
+        SectionDirectory(layout.blocks, cfg.pagesPerBlock, placed);
     std::uint64_t blocks_used = blocks_touched;
     layout.stats.flashBytes = pages_used * cfg.pageSize;
     layout.stats.blockBytes = blocks_used *
@@ -285,11 +295,12 @@ encodePageImage(const DirectGraphLayout &layout, const graph::Graph &g,
                 std::span<std::uint8_t> buf)
 {
     std::fill(buf.begin(), buf.end(), std::uint8_t{0});
-    auto it = layout.pages.find(ppa);
-    if (it == layout.pages.end())
+    const std::span<const SectionPlacement> sections =
+        layout.directory.page(ppa);
+    if (sections.empty())
         return;
     std::vector<std::uint8_t> feat(features.bytesPerNode());
-    for (const auto &sp : it->second.sections) {
+    for (const auto &sp : sections) {
         const NodeLayout &nl = layout.nodes[sp.node];
         std::span<std::uint8_t> out =
             buf.subspan(sp.byteOffset, sp.byteSize);
@@ -325,12 +336,13 @@ materialize(const DirectGraphLayout &layout, const graph::Graph &g,
 {
     std::vector<std::uint8_t> buf(layout.pageSize);
     // Programming order is observable through PageStore program
-    // counters; walk the pages in sorted PPA order (BGN002).
-    for (flash::Ppa ppa : sim::sortedKeys(layout.pages)) {
-        encodePageImage(layout, g, features, ppa, buf);
-        if (!store.program(ppa, buf))
-            sim::panic("materialize: page already programmed");
-    }
+    // counters; the directory walks the pages in ascending PPA order.
+    layout.directory.forEachPage(
+        [&](flash::Ppa ppa, std::span<const SectionPlacement>) {
+            encodePageImage(layout, g, features, ppa, buf);
+            if (!store.program(ppa, buf))
+                sim::panic("materialize: page already programmed");
+        });
 }
 
 } // namespace beacongnn::dg

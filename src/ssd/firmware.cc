@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "sim/log.h"
-#include "sim/ordered.h"
 
 namespace beacongnn::ssd {
 
@@ -34,9 +33,9 @@ Firmware::flushDirectGraph(sim::Tick start,
     sim::Tick finish = start;
     res.ok = true;
 
-    // Deterministic page order keeps timing reproducible across runs
-    // (unordered_map iteration order is not stable across builds).
-    for (flash::Ppa ppa : sim::sortedKeys(layout.pages)) {
+    // Ascending-PPA page order keeps the flush timing reproducible.
+    layout.directory.forEachPage([&](flash::Ppa ppa,
+                                     std::span<const dg::SectionPlacement>) {
         dg::encodePageImage(layout, g, features, ppa, buf);
         // §VI-E: destination and embedded addresses must stay inside
         // the reserved blocks.
@@ -44,7 +43,7 @@ Firmware::flushDirectGraph(sim::Tick start,
             !_ftl.ppaReserved(ppa)) {
             ++res.pagesRejected;
             res.ok = false;
-            continue;
+            return;
         }
         // Timing: host page image over PCIe, firmware verification on
         // a core, DMA into DRAM, backend program.
@@ -62,7 +61,7 @@ Firmware::flushDirectGraph(sim::Tick start,
             sim::panic("flushDirectGraph: destination page not erased");
         _ecc.onProgram(ppa, buf);
         ++res.pagesWritten;
-    }
+    });
     res.finish = finish;
     return res;
 }

@@ -90,12 +90,10 @@ class HostInterface
         cmd.bytes = fw.config().flash.pageSize;
         FlushResult res = fw.flushDirectGraph(now, layout, g, features,
                                               store, backend);
-        sim::Tick per_page =
-            layout.pages.empty()
-                ? 0
-                : (res.finish - now) / layout.pages.size();
+        const std::size_t pages = layout.directory.pageCount();
+        sim::Tick per_page = pages == 0 ? 0 : (res.finish - now) / pages;
         NvmeCompletion last{};
-        for (std::size_t i = 0; i < layout.pages.size(); ++i)
+        for (std::size_t i = 0; i < pages; ++i)
             last = queue.submit(now, cmd, per_page);
         res.finish = std::max(res.finish, last.completed);
         return res;

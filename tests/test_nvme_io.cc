@@ -242,7 +242,7 @@ TEST(HostInterface, VendorCommandFlow)
     FlushResult flush = host.flushDirectGraph(c2.completed, layout, g,
                                               feat, store, backend);
     ASSERT_TRUE(flush.ok);
-    EXPECT_EQ(flush.pagesWritten, layout.pages.size());
+    EXPECT_EQ(flush.pagesWritten, layout.directory.pageCount());
     EXPECT_GT(flush.finish, c2.completed);
 
     // 4. SubmitBatch gates the engine start after the command lands.
@@ -253,7 +253,7 @@ TEST(HostInterface, VendorCommandFlow)
 
     // The queue pair saw every vendor command.
     EXPECT_EQ(host.nvme().completedCount(),
-              2u + layout.pages.size() + 1u);
+              2u + layout.directory.pageCount() + 1u);
 }
 
 } // namespace

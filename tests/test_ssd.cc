@@ -200,14 +200,16 @@ TEST_F(FirmwareTest, FlushWritesAndVerifies)
     FlushResult res =
         fw->flushDirectGraph(0, layout, g, *feat, *store, *backend);
     EXPECT_TRUE(res.ok);
-    EXPECT_EQ(res.pagesWritten, layout.pages.size());
+    EXPECT_EQ(res.pagesWritten, layout.directory.pageCount());
     EXPECT_EQ(res.pagesRejected, 0u);
     EXPECT_GT(res.finish, 0u);
-    EXPECT_EQ(store->programmedPages(), layout.pages.size());
+    EXPECT_EQ(store->programmedPages(), layout.directory.pageCount());
 
     // All flushed pages pass ECC.
-    for (const auto &[ppa, dir] : layout.pages)
-        EXPECT_TRUE(fw->ecc().check(ppa, store->read(ppa)));
+    layout.directory.forEachPage(
+        [&](flash::Ppa ppa, std::span<const dg::SectionPlacement>) {
+            EXPECT_TRUE(fw->ecc().check(ppa, store->read(ppa)));
+        });
 }
 
 TEST_F(FirmwareTest, FlushRejectsUnreservedDestination)
@@ -219,7 +221,7 @@ TEST_F(FirmwareTest, FlushRejectsUnreservedDestination)
         other.flushDirectGraph(0, layout, g, *feat, *store, *backend);
     EXPECT_FALSE(res.ok);
     EXPECT_EQ(res.pagesWritten, 0u);
-    EXPECT_EQ(res.pagesRejected, layout.pages.size());
+    EXPECT_EQ(res.pagesRejected, layout.directory.pageCount());
 }
 
 TEST_F(FirmwareTest, ScrubAfterCorruption)

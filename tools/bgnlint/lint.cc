@@ -516,9 +516,9 @@ Linter::rule002(FileContext &ctx)
             }
             if (colon && close > colon) {
                 // Last identifier of the iterated expression. An
-                // expression containing a call (e.g. the audited
-                // sim::sortedKeys(...) snapshot) yields a fresh value
-                // of unknown — by construction ordered — type; skip.
+                // expression containing a call (e.g. a sorted key
+                // snapshot) yields a fresh value of unknown — by
+                // construction ordered — type; skip.
                 std::string name;
                 int nameLine = t[colon].line;
                 for (std::size_t j = colon + 1; j < close; ++j) {
