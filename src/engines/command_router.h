@@ -26,7 +26,6 @@
 #ifndef BEACONGNN_ENGINES_COMMAND_ROUTER_H
 #define BEACONGNN_ENGINES_COMMAND_ROUTER_H
 
-#include <deque>
 #include <vector>
 
 #include "flash/address.h"
@@ -59,6 +58,8 @@ class CommandRouter
         : ecfg(ecfg_), codec(flash), queueDepth(std::max(1u, depth))
     {
         queues.resize(flash.totalDies());
+        for (DieQueue &q : queues)
+            q.slots.resize(queueDepth);
     }
 
     /**
@@ -84,14 +85,16 @@ class CommandRouter
         // the caller reports that via release()).
         DieQueue &q = queues[die];
         q.trim(arrived);
-        if (q.inFlight.size() >= queueDepth) {
-            arrived = std::max(arrived, q.inFlight.front());
+        if (q.count >= queueDepth) {
+            // Waiting for the oldest slot pops it (a never-bound
+            // placeholder, kTickMax, pops them all), so the queue
+            // holds at most queueDepth entries after the push.
+            arrived = std::max(arrived, q.at(0));
             q.trim(arrived);
         }
-        q.inFlight.push_back(sim::kTickMax); // Placeholder until bound.
+        q.at(q.count++) = sim::kTickMax; // Placeholder until bound.
         stats_.peakQueue =
-            std::max<std::uint64_t>(stats_.peakQueue,
-                                    q.inFlight.size());
+            std::max<std::uint64_t>(stats_.peakQueue, q.count);
         return arrived;
     }
 
@@ -103,10 +106,9 @@ class CommandRouter
     bindCompletion(flash::Ppa ppa, sim::Tick completes)
     {
         DieQueue &q = queues[codec.globalDieOf(ppa)];
-        for (auto it = q.inFlight.rbegin(); it != q.inFlight.rend();
-             ++it) {
-            if (*it == sim::kTickMax) {
-                *it = completes;
+        for (std::size_t i = q.count; i-- > 0;) {
+            if (q.at(i) == sim::kTickMax) {
+                q.at(i) = completes;
                 break;
             }
         }
@@ -127,16 +129,25 @@ class CommandRouter
     const DispatchStats &stats() const { return stats_; }
 
   private:
+    /** Completion times of the commands occupying a die's queue
+     *  slots, oldest first, in a ring of queueDepth slots (allocated
+     *  once: routing a command never allocates). */
     struct DieQueue
     {
-        /** Completion times of commands occupying queue slots. */
-        std::deque<sim::Tick> inFlight;
+        std::vector<sim::Tick> slots;
+        std::size_t head = 0;  ///< Slot of the oldest entry.
+        std::size_t count = 0; ///< Entries held.
+
+        /** The @p i-th oldest entry (i <= count). */
+        sim::Tick &at(std::size_t i) { return slots[(head + i) % slots.size()]; }
 
         void
         trim(sim::Tick now)
         {
-            while (!inFlight.empty() && inFlight.front() <= now)
-                inFlight.pop_front();
+            while (count > 0 && at(0) <= now) {
+                head = (head + 1) % slots.size();
+                --count;
+            }
         }
     };
 

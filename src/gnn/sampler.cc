@@ -1,5 +1,7 @@
 #include "gnn/sampler.h"
 
+#include <algorithm>
+
 #include "sim/rng.h"
 
 namespace beacongnn::gnn {
@@ -10,41 +12,40 @@ drawPrimary(std::uint64_t seed, std::uint64_t batch, std::uint8_t hop,
             std::uint32_t in_page, dg::SecondaryList secondaries)
 {
     PrimaryDraws out;
-    out.secondaryHits.assign(secondaries.size(), 0);
     if (degree == 0)
         return out;
     for (std::uint8_t i = 0; i < fanout; ++i) {
         auto r = static_cast<std::uint32_t>(
             sim::keyedBelow(seed, batch, hop, node, i, degree));
         if (r < in_page) {
-            out.inPagePicks.push_back(r);
+            out.inPage.push(r);
         } else {
             // Locate the secondary section covering index r.
             std::uint32_t start = in_page;
             for (std::size_t j = 0; j < secondaries.size(); ++j) {
                 if (r < start + secondaries[j].count) {
-                    ++out.secondaryHits[j];
+                    out.secondary.push(static_cast<std::uint32_t>(j));
                     break;
                 }
                 start += secondaries[j].count;
             }
         }
     }
+    std::sort(out.secondary.begin(), out.secondary.end());
     return out;
 }
 
-std::vector<std::uint32_t>
+Draws
 drawSecondary(std::uint64_t seed, std::uint64_t batch, std::uint8_t hop,
               graph::NodeId node, std::uint32_t secondary_idx,
-              std::uint32_t first_draw, std::uint32_t count,
+              std::uint32_t first_draw, std::uint8_t count,
               std::uint32_t section_size)
 {
-    std::vector<std::uint32_t> picks;
-    picks.reserve(count);
+    Draws picks;
     for (std::uint32_t t = first_draw; t < first_draw + count; ++t) {
         std::uint32_t draw = kSecondaryDrawBase +
                              secondary_idx * kSecondaryDrawStride + t;
-        picks.push_back(static_cast<std::uint32_t>(sim::keyedBelow(
+        picks.push(static_cast<std::uint32_t>(sim::keyedBelow(
             seed, batch, hop, node, draw, section_size)));
     }
     return picks;
@@ -107,26 +108,21 @@ layoutSample(const graph::Graph &g, const dg::DirectGraphLayout &layout,
         if (nl.degree == 0)
             return out;
         const std::uint8_t fan = m.fanoutAt(hop);
-        PrimaryDraws d =
+        const PrimaryDraws d =
             drawPrimary(m.seed, batch, hop, v, fan, nl.degree, nl.inPage,
                         dg::SecondaryList(nl.secondaries));
         out.reserve(fan);
-        for (std::uint32_t r : d.inPagePicks)
+        for (std::uint32_t r : d.inPage)
             out.push_back(g.neighbor(v, r));
-        for (std::size_t j = 0; j < d.secondaryHits.size(); ++j) {
-            std::uint32_t c = d.secondaryHits[j];
-            if (c == 0)
-                continue;
+        d.forEachSecondaryHit([&](std::uint32_t j, std::uint8_t hits) {
             std::uint32_t start = nl.inPage;
             for (std::size_t k = 0; k < j; ++k)
                 start += nl.secondaries[k].count;
-            for (std::uint32_t idx : drawSecondary(
-                     m.seed, batch, hop, v,
-                     static_cast<std::uint32_t>(j), 0, c,
-                     nl.secondaries[j].count)) {
+            for (std::uint32_t idx :
+                 drawSecondary(m.seed, batch, hop, v, j, 0, hits,
+                               nl.secondaries[j].count))
                 out.push_back(g.neighbor(v, start + idx));
-            }
-        }
+        });
         return out;
     };
     for (graph::NodeId t : targets)

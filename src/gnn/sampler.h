@@ -24,6 +24,7 @@
 #ifndef BEACONGNN_GNN_SAMPLER_H
 #define BEACONGNN_GNN_SAMPLER_H
 
+#include <array>
 #include <cstdint>
 #include <span>
 
@@ -59,18 +60,58 @@ Subgraph layoutSample(const graph::Graph &g,
                       const ModelConfig &m, std::uint64_t batch,
                       std::span<const graph::NodeId> targets);
 
+/** Most draws one command makes: fanouts and sample counts are
+ *  8-bit. */
+inline constexpr std::size_t kMaxDraws = 255;
+
+/** Up to kMaxDraws drawn values in a fixed array: a draw never
+ *  touches the heap. */
+class Draws
+{
+  public:
+    void push(std::uint32_t v) { vals[n++] = v; }
+    std::size_t size() const { return n; }
+    bool empty() const { return n == 0; }
+    std::uint32_t operator[](std::size_t i) const { return vals[i]; }
+    const std::uint32_t *begin() const { return vals.data(); }
+    const std::uint32_t *end() const { return vals.data() + n; }
+    std::uint32_t *begin() { return vals.data(); }
+    std::uint32_t *end() { return vals.data() + n; }
+
+  private:
+    std::array<std::uint32_t, kMaxDraws> vals;
+    std::uint8_t n = 0;
+};
+
 /**
  * The primary-section sampling kernel shared by layoutSample() and
- * the die-level sampler model: draw @p m.fanout indices over
- * [0, degree), return the in-page picks directly and the per-
- * secondary-section hit counts for coalesced continuation commands.
+ * the die-level sampler model: draw @p fanout indices over
+ * [0, degree); the in-page picks resolve directly, and the draws that
+ * land in secondary sections become coalesced continuation commands.
  */
 struct PrimaryDraws
 {
-    /** In-page picks: indices < inPage (resolve on this page). */
-    std::vector<std::uint32_t> inPagePicks;
-    /** Hits per secondary section (size = #secondaries). */
-    std::vector<std::uint32_t> secondaryHits;
+    /** In-page picks in draw order: indices < inPage (resolve on
+     *  this page). */
+    Draws inPage;
+    /** The secondary ordinal of every other draw, sorted ascending:
+     *  each run of one ordinal is that section's hit count. */
+    Draws secondary;
+
+    /** Call @p fn(ordinal, hits) per secondary section hit, in
+     *  ascending ordinal order. */
+    template <typename Fn>
+    void
+    forEachSecondaryHit(Fn &&fn) const
+    {
+        for (std::size_t i = 0; i < secondary.size();) {
+            std::size_t end = i + 1;
+            while (end < secondary.size() && secondary[end] == secondary[i])
+                ++end;
+            fn(secondary[i], static_cast<std::uint8_t>(end - i));
+            i = end;
+        }
+    }
 };
 
 PrimaryDraws drawPrimary(std::uint64_t seed, std::uint64_t batch,
@@ -87,14 +128,10 @@ PrimaryDraws drawPrimary(std::uint64_t seed, std::uint64_t batch,
  * hits) and `hits` non-coalesced single-draw commands produce the
  * exact same picks (the coalescing ablation relies on this).
  */
-std::vector<std::uint32_t> drawSecondary(std::uint64_t seed,
-                                         std::uint64_t batch,
-                                         std::uint8_t hop,
-                                         graph::NodeId node,
-                                         std::uint32_t secondary_idx,
-                                         std::uint32_t first_draw,
-                                         std::uint32_t count,
-                                         std::uint32_t section_size);
+Draws drawSecondary(std::uint64_t seed, std::uint64_t batch,
+                    std::uint8_t hop, graph::NodeId node,
+                    std::uint32_t secondary_idx, std::uint32_t first_draw,
+                    std::uint8_t count, std::uint32_t section_size);
 
 } // namespace beacongnn::gnn
 

@@ -40,6 +40,9 @@ class Subgraph
         return static_cast<Slot>(entries.size() - 1);
     }
 
+    /** Make room for @p n entries in one allocation. */
+    void reserve(std::size_t n) { entries.reserve(n); }
+
     const std::vector<SubgraphEntry> &all() const { return entries; }
     std::size_t size() const { return entries.size(); }
     const SubgraphEntry &operator[](Slot s) const { return entries[s]; }

@@ -106,7 +106,8 @@ class EventQueue
     };
 
     /**
-     * Schedule a whole message batch at once (mailbox drains). One
+     * Schedule a whole message batch at once (mailbox drains), leaving
+     * @p batch empty with its capacity, for the caller to refill. One
      * capacity reservation covers the batch, and a batch that rivals
      * the heap size re-heapifies once (O(n + k)) instead of paying k
      * sift-ups. Execution order is unaffected by the internal path:
@@ -115,7 +116,7 @@ class EventQueue
      * k individual scheduleAt() calls would.
      */
     void
-    bulkScheduleAt(std::vector<TimedEvent> batch)
+    bulkScheduleAt(std::vector<TimedEvent> &batch)
     {
         reserveAdditional(batch.size());
         if (batch.size() >= 8 && batch.size() >= events.size() / 2) {
@@ -132,6 +133,7 @@ class EventQueue
             for (TimedEvent &e : batch)
                 scheduleAt(e.when, std::move(e.fn));
         }
+        batch.clear();
     }
 
     /** Allocated heap capacity (events). */

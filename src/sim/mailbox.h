@@ -24,6 +24,7 @@
 #include <utility>
 #include <vector>
 
+#include "sim/log.h"
 #include "sim/types.h"
 #include "sim/validator.h"
 
@@ -81,15 +82,20 @@ class Mailbox
     /** Attach the checked-build validator (nullptr detaches). */
     void setValidator(Validator *v) { _validator = v; }
 
-    /** Take station @p dst's whole inbox (arrival order, unsorted). */
-    std::vector<Message>
-    drain(std::size_t dst)
+    /**
+     * Take station @p dst's whole inbox (arrival order, unsorted) into
+     * @p out, which must be empty. The inbox takes @p out's storage in
+     * exchange, so a caller that drains into the same buffer every
+     * window makes neither side allocate once both have grown.
+     */
+    void
+    drain(std::size_t dst, std::vector<Message> &out)
     {
+        if (!out.empty())
+            panic("Mailbox::drain: the buffer still holds messages");
         Slot &s = slots[dst];
         std::lock_guard<std::mutex> lock(s.mutex);
-        std::vector<Message> out;
         out.swap(s.inbox);
-        return out;
     }
 
     /** Messages ever posted to station @p dst (drained or not). */

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <map>
 #include <type_traits>
@@ -141,32 +142,66 @@ TEST(DrawPrimary, PartitionsAcrossRegions)
     std::vector<dg::SecondaryRef> secs = {{dg::DgAddress(1, 0), 100},
                                           {dg::DgAddress(2, 0), 100}};
     // degree 250 = 50 in page + 100 + 100.
-    PrimaryDraws d =
+    const PrimaryDraws d =
         drawPrimary(1, 0, 0, 42, 200, 250, 50, dg::SecondaryList(secs));
-    std::uint32_t total = static_cast<std::uint32_t>(d.inPagePicks.size());
-    for (auto h : d.secondaryHits)
-        total += h;
-    EXPECT_EQ(total, 200u);
-    for (auto p : d.inPagePicks)
+    EXPECT_EQ(d.inPage.size() + d.secondary.size(), 200u);
+    for (auto p : d.inPage)
         EXPECT_LT(p, 50u);
+    EXPECT_TRUE(std::is_sorted(d.secondary.begin(), d.secondary.end()));
+    // One call per secondary hit, in ordinal order, with its count.
+    std::vector<std::uint32_t> hits(secs.size(), 0);
+    std::uint32_t last = 0;
+    std::uint32_t calls = 0;
+    d.forEachSecondaryHit([&](std::uint32_t j, std::uint8_t n) {
+        ASSERT_LT(j, secs.size());
+        EXPECT_TRUE(calls == 0 || j > last);
+        last = j;
+        ++calls;
+        hits[j] = n;
+    });
+    EXPECT_EQ(hits[0] + hits[1], d.secondary.size());
     // With 200 draws over 250 slots, both secondaries are hit w.h.p.
-    EXPECT_GT(d.secondaryHits[0], 0u);
-    EXPECT_GT(d.secondaryHits[1], 0u);
+    EXPECT_GT(hits[0], 0u);
+    EXPECT_GT(hits[1], 0u);
+}
+
+TEST(DrawPrimary, FullFanoutFitsTheFixedBuffers)
+{
+    // 255 draws (the 8-bit fanout's maximum) all past the in-page
+    // portion: every one lands in the fixed secondary buffer.
+    std::vector<dg::SecondaryRef> secs = {{dg::DgAddress(1, 0), 1000}};
+    const PrimaryDraws d =
+        drawPrimary(3, 1, 0, 7, 255, 1000, 0, dg::SecondaryList(secs));
+    EXPECT_TRUE(d.inPage.empty());
+    EXPECT_EQ(d.secondary.size(), kMaxDraws);
+    std::uint32_t calls = 0;
+    d.forEachSecondaryHit([&](std::uint32_t j, std::uint8_t n) {
+        EXPECT_EQ(j, 0u);
+        EXPECT_EQ(n, 255u);
+        ++calls;
+    });
+    EXPECT_EQ(calls, 1u);
+    EXPECT_EQ(drawSecondary(3, 1, 0, 7, 0, 0, 255, 1000).size(),
+              kMaxDraws);
 }
 
 TEST(DrawSecondary, BoundsAndDeterminism)
 {
-    auto a = drawSecondary(1, 0, 2, 42, 1, 0, 5, 64);
-    auto b = drawSecondary(1, 0, 2, 42, 1, 0, 5, 64);
-    EXPECT_EQ(a, b);
+    auto picks = [](std::uint32_t secondary, std::uint32_t first,
+                    std::uint8_t count) {
+        const Draws d = drawSecondary(1, 0, 2, 42, secondary, first, count,
+                                      64);
+        return std::vector<std::uint32_t>(d.begin(), d.end());
+    };
+    auto a = picks(1, 0, 5);
+    EXPECT_EQ(a, picks(1, 0, 5));
     ASSERT_EQ(a.size(), 5u);
     for (auto p : a)
         EXPECT_LT(p, 64u);
-    auto c = drawSecondary(1, 0, 2, 42, 2, 0, 5, 64);
-    EXPECT_NE(a, c);
+    EXPECT_NE(a, picks(2, 0, 5));
     // Splitting the draws (coalescing ablation) keeps the picks.
-    auto first = drawSecondary(1, 0, 2, 42, 1, 0, 2, 64);
-    auto rest = drawSecondary(1, 0, 2, 42, 1, 2, 3, 64);
+    auto first = picks(1, 0, 2);
+    auto rest = picks(1, 2, 3);
     first.insert(first.end(), rest.begin(), rest.end());
     EXPECT_EQ(first, a);
 }

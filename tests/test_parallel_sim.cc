@@ -45,12 +45,42 @@ TEST(Mailbox, PostDrainAndPostedCount)
     EXPECT_EQ(mb.posted(1), 2u);
     EXPECT_EQ(mb.posted(2), 1u);
 
-    std::vector<int> got = mb.drain(1);
+    std::vector<int> got;
+    mb.drain(1, got);
     std::vector<int> want = {10, 20};
     EXPECT_EQ(got, want); // FIFO per destination.
-    EXPECT_TRUE(mb.drain(1).empty());
+    got.clear();
+    mb.drain(1, got);
+    EXPECT_TRUE(got.empty());
     EXPECT_EQ(mb.posted(1), 2u); // posted() is a lifetime tally.
-    EXPECT_TRUE(mb.drain(0).empty());
+    mb.drain(0, got);
+    EXPECT_TRUE(got.empty());
+}
+
+TEST(Mailbox, DrainHandsTheBufferToTheInbox)
+{
+    // Draining into the same buffer every window: the inbox takes the
+    // caller's storage, so once both have grown neither reallocates.
+    sim::Mailbox<int> mb(1);
+    std::vector<int> buf;
+    buf.reserve(64);
+    const int *storage = buf.data();
+    mb.post(0, 1);
+    mb.drain(0, buf); // The inbox now owns the reserved storage.
+    ASSERT_EQ(buf.size(), 1u);
+    buf.clear();
+    mb.post(0, 2);
+    mb.drain(0, buf);
+    ASSERT_EQ(buf.size(), 1u);
+    EXPECT_EQ(buf[0], 2);
+    EXPECT_EQ(buf.data(), storage);
+}
+
+TEST(MailboxDeath, DrainIntoAFullBufferPanics)
+{
+    sim::Mailbox<int> mb(1);
+    std::vector<int> buf = {7};
+    EXPECT_DEATH(mb.drain(0, buf), "still holds messages");
 }
 
 TEST(Mailbox, ConcurrentPostsAllArrive)
@@ -65,7 +95,8 @@ TEST(Mailbox, ConcurrentPostsAllArrive)
         });
     for (auto &t : ts)
         t.join();
-    std::vector<unsigned> all = mb.drain(0);
+    std::vector<unsigned> all;
+    mb.drain(0, all);
     ASSERT_EQ(all.size(), std::size_t{kThreads} * kEach);
     std::sort(all.begin(), all.end());
     for (unsigned i = 0; i < kThreads * kEach; ++i)
@@ -126,7 +157,8 @@ TEST(BulkSchedule, MatchesIndividualSchedulesIncludingTies)
                 batch.push_back(
                     {when, [&order, v] { order.push_back(v); }});
             }
-            q.bulkScheduleAt(std::move(batch));
+            q.bulkScheduleAt(batch);
+            EXPECT_TRUE(batch.empty());
         } else {
             for (auto &[when, id] : plan) {
                 int v = id;
@@ -196,7 +228,8 @@ struct MiniRing
     std::size_t
     drain(unsigned d)
     {
-        std::vector<Msg> msgs = mailbox.drain(d);
+        std::vector<Msg> msgs;
+        mailbox.drain(d, msgs);
         std::sort(msgs.begin(), msgs.end(),
                   [](const Msg &a, const Msg &b) {
                       return std::tie(a.when, a.src, a.seq) <
@@ -206,7 +239,7 @@ struct MiniRing
         batch.reserve(msgs.size());
         for (const Msg &m : msgs)
             batch.push_back({m.when, [this, d, m] { handle(d, m); }});
-        queues[d]->bulkScheduleAt(std::move(batch));
+        queues[d]->bulkScheduleAt(batch);
         return msgs.size();
     }
 
