@@ -21,33 +21,13 @@ import argparse
 import json
 import os
 import statistics
-import subprocess
 import sys
+
+from bench_common import git, run_once
 
 SECONDS = 30
 SEED = 1
 OUT = "BENCH_sim.json"
-
-
-def git(*args):
-    return subprocess.run(["git", *args], capture_output=True, text=True,
-                          check=True).stdout.strip()
-
-
-def run_once(workload):
-    """The end-to-end metrics of one run, or None if it failed."""
-    proc = subprocess.run(
-        [sys.executable, os.path.join("simbench", "run.py"),
-         "--workload", workload, "--seed", str(SEED),
-         "--seconds", str(SECONDS), "--trace", "0"],
-        capture_output=True, text=True)
-    if proc.returncode != 0 or not proc.stdout:
-        sys.stderr.write(proc.stderr)
-        return None
-    res = json.loads(proc.stdout.rstrip("\n").split("\n")[-1])
-    if not res["correct"]:
-        return None
-    return {k: v["value"] for k, v in res["metrics"].items()}
 
 
 def main():
@@ -65,7 +45,7 @@ def main():
         for w in workloads:
             print(f"bench_record: {w} run {r + 1}/{args.runs}",
                   file=sys.stderr)
-            got = run_once(w)
+            got = run_once(w, SEED, SECONDS)
             if got is None:
                 print(f"bench_record: {w} failed", file=sys.stderr)
                 return 1
