@@ -69,8 +69,7 @@ BeaconGnnSystem::runMiniBatch(std::span<const graph::NodeId> targets)
 {
     MiniBatchResult out;
     // The target list reaches the device as a SubmitBatch command,
-    // which the engine runs to completion.
-    _prepCursor = _host->submitBatch(_prepCursor, targets.size());
+    // which the engine charges and runs to completion.
     out.prep = _engine->run(_prepCursor, _batchCounter++, targets);
     _prepCursor = out.prep.finish;
     // §VI-G: regular storage requests arriving during the mini-batch

@@ -104,7 +104,7 @@ class BeaconGnnSystem
     ssd::IoPath &io() { return *_io; }
 
     /** The §VI-A manipulation interface the constructor used (block
-     *  list fetch, config delivery, verified flush, batch submit). */
+     *  list fetch, config delivery, verified flush). */
     ssd::HostInterface &hostInterface() { return *_host; }
 
     ssd::Firmware &firmware() { return _device->firmware(); }

@@ -53,8 +53,8 @@ struct DevicePort
     sim::BandwidthResource *p2pOut = nullptr;
     /** This device's own event queue / local clock (required). Cross-
      *  device work must reach a foreign device's queue through the
-     *  mailbox, never by direct scheduling (DESIGN.md §13, bgnlint
-     *  BGN006). */
+     *  posting lane's outbox, never by direct scheduling (DESIGN.md
+     *  §13, bgnlint BGN006). */
     sim::EventQueue *queue = nullptr;
     /** Chrome-trace pid base of this device's tracks. */
     std::uint32_t tracePidBase = 0;

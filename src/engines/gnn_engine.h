@@ -30,7 +30,6 @@
 #include "gnn/sampler.h"
 #include "gnn/subgraph.h"
 #include "sim/event_queue.h"
-#include "sim/mailbox.h"
 #include "sim/parallel_sim.h"
 #include "sim/stats.h"
 #include "ssd/firmware.h"
@@ -181,9 +180,10 @@ struct DeviceHealth
  * per-batch mutable state in per-device *lanes*, so a conservative
  * parallel driver (sim::ParallelSimulator) may run the device queues
  * of an array on concurrent worker threads. Cross-device children
- * never touch a foreign queue directly — they become timestamped
- * messages in a mutex-sharded mailbox, delivered at window boundaries
- * in a deterministically sorted order. The engine drives its device
+ * never touch a foreign queue directly — the posting lane appends
+ * each to its outbox as a ready-to-schedule event, and the driver's
+ * deliver hook moves every outbox onto the destination queues between
+ * windows, sources in device order. The engine drives its device
  * queues itself: run() owns the batch, seeds it, runs the queues to
  * quiescence with its own driver and merges the lanes in fixed device
  * order, which makes the results byte-identical for every worker
@@ -278,22 +278,20 @@ class GnnEngine
 
   private:
     struct Batch;
-    /** One cross-device command in flight through the mailbox. */
-    struct CrossMsg;
     /** One barrier-pipeline visit: a node and its parent's slot. */
     struct Visit;
     /** A BG-SP secondary continuation deferred to the end of its hop. */
     struct Continuation;
 
     /**
-     * The driver's drain hook for device @p dev: take the device's
-     * pending cross-device messages out of the mailbox, sort them by
-     * (arrival, source device, source sequence) — a pure function of
-     * the message set, independent of posting interleave — and
-     * bulk-schedule them onto the device's own queue. Runs between
-     * windows, when no station is running. @return messages delivered.
+     * The driver's deliver hook: move every lane's outbox onto the
+     * destination queues, sources in device order and each outbox in
+     * posting order. The queues pop equal timestamps in insertion
+     * order, so the walk delivers in (arrival, source device, posting
+     * order) order whatever the worker interleave was. Runs between
+     * windows, when no station is running.
      */
-    std::size_t deliverInbound(unsigned dev);
+    void deliverOutboxes();
 
     /** More than one device port? (Implies DirectGraph streaming.) */
     bool multiDevice() const { return ports.size() > 1; }
@@ -404,8 +402,6 @@ class GnnEngine
     /** The batch in flight: batchState inside run() and null again
      *  before it returns, so a use outside a batch faults. */
     Batch *batch = nullptr;
-    /** Cross-device command mailbox (multi-device; else null). */
-    std::unique_ptr<sim::Mailbox<CrossMsg>> mailbox;
     /** Per-source-device replica routing state (DESIGN.md §17): how
      *  many commands lane `src` has routed to each destination (the
      *  "least-loaded" input). Kept per *source* lane — a shared
@@ -426,8 +422,8 @@ class GnnEngine
      *  and unbounded on one device. */
     std::unique_ptr<sim::ParallelSimulator> driver;
     /** Checked-build causality/ownership validator of an array
-     *  (DESIGN.md §16): wired into every queue, the mailbox, the
-     *  driver and streamCommand's lane touches. Owned per engine —
+     *  (DESIGN.md §16): wired into every queue, the driver, the
+     *  outbox post and streamCommand's lane touches. Owned per engine —
      *  bench grids run engines concurrently, so never a global. */
     std::unique_ptr<sim::Validator> validator;
     /** Completion time of the one-time GNN config broadcast. */

@@ -6,17 +6,27 @@
 
 namespace beacongnn::gnn {
 
+Draws
+drawUniform(std::uint64_t seed, std::uint64_t batch, std::uint8_t hop,
+            graph::NodeId node, std::uint8_t fanout, std::uint32_t degree)
+{
+    Draws picks;
+    if (degree == 0)
+        return picks;
+    for (std::uint8_t i = 0; i < fanout; ++i)
+        picks.push(static_cast<std::uint32_t>(
+            sim::keyedBelow(seed, batch, hop, node, i, degree)));
+    return picks;
+}
+
 PrimaryDraws
 drawPrimary(std::uint64_t seed, std::uint64_t batch, std::uint8_t hop,
             graph::NodeId node, std::uint8_t fanout, std::uint32_t degree,
             std::uint32_t in_page, dg::SecondaryList secondaries)
 {
     PrimaryDraws out;
-    if (degree == 0)
-        return out;
-    for (std::uint8_t i = 0; i < fanout; ++i) {
-        auto r = static_cast<std::uint32_t>(
-            sim::keyedBelow(seed, batch, hop, node, i, degree));
+    for (std::uint32_t r :
+         drawUniform(seed, batch, hop, node, fanout, degree)) {
         if (r < in_page) {
             out.inPage.push(r);
         } else {
@@ -78,16 +88,11 @@ csrSample(const graph::Graph &g, const ModelConfig &m, std::uint64_t batch,
     auto children = [&](graph::NodeId v,
                         std::uint8_t hop) -> std::vector<graph::NodeId> {
         std::vector<graph::NodeId> out;
-        std::uint32_t deg = g.degree(v);
-        if (deg == 0)
-            return out;
-        const std::uint8_t fan = m.fanoutAt(hop);
-        out.reserve(fan);
-        for (std::uint8_t i = 0; i < fan; ++i) {
-            auto r = static_cast<std::uint32_t>(
-                sim::keyedBelow(m.seed, batch, hop, v, i, deg));
+        const Draws picks =
+            drawUniform(m.seed, batch, hop, v, m.fanoutAt(hop), g.degree(v));
+        out.reserve(picks.size());
+        for (std::uint32_t r : picks)
             out.push_back(g.neighbor(v, r));
-        }
         return out;
     };
     for (graph::NodeId t : targets)

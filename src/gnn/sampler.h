@@ -84,10 +84,20 @@ class Draws
 };
 
 /**
+ * The uniform draw every sampler starts from: @p fanout indices over
+ * [0, @p degree), draw i keyed on (seed, batch, hop, node, i); none
+ * when the node has no neighbours. csrSample(), drawPrimary() and the
+ * engine's barrier pipeline all draw through it.
+ */
+Draws drawUniform(std::uint64_t seed, std::uint64_t batch,
+                  std::uint8_t hop, graph::NodeId node,
+                  std::uint8_t fanout, std::uint32_t degree);
+
+/**
  * The primary-section sampling kernel shared by layoutSample() and
- * the die-level sampler model: draw @p fanout indices over
- * [0, degree); the in-page picks resolve directly, and the draws that
- * land in secondary sections become coalesced continuation commands.
+ * the die-level sampler model: the uniform draw over [0, degree); the
+ * in-page picks resolve directly, and the draws that land in
+ * secondary sections become coalesced continuation commands.
  */
 struct PrimaryDraws
 {

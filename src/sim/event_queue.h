@@ -94,10 +94,6 @@ class EventQueue
     /** Pre-size the event heap to avoid growth reallocations. */
     void reserve(std::size_t n) { events.reserve(n); }
 
-    /** Grow capacity by @p n more events beyond the current pending
-     *  count (bulk message delivery pre-sizes once, not per event). */
-    void reserveAdditional(std::size_t n) { events.reserve(events.size() + n); }
-
     /** One pre-timed event of a bulkScheduleAt() batch. */
     struct TimedEvent
     {
@@ -106,19 +102,20 @@ class EventQueue
     };
 
     /**
-     * Schedule a whole message batch at once (mailbox drains), leaving
-     * @p batch empty with its capacity, for the caller to refill. One
-     * capacity reservation covers the batch, and a batch that rivals
-     * the heap size re-heapifies once (O(n + k)) instead of paying k
-     * sift-ups. Execution order is unaffected by the internal path:
-     * the pop order is the total order (when, insertion-seq), and the
-     * batch receives its sequence numbers in element order exactly as
-     * k individual scheduleAt() calls would.
+     * Schedule a whole batch at once (the parallel driver's deliver
+     * hook), leaving @p batch empty with its capacity, for the caller
+     * to refill. A batch that rivals the heap size re-heapifies once
+     * (O(n + k)) instead of paying k sift-ups; the heap grows
+     * geometrically, so a caller that delivers several batches per
+     * round does not reallocate per batch. Execution order is
+     * unaffected by the internal path: the pop order is the total
+     * order (when, insertion-seq), and the batch receives its
+     * sequence numbers in element order exactly as k individual
+     * scheduleAt() calls would.
      */
     void
     bulkScheduleAt(std::vector<TimedEvent> &batch)
     {
-        reserveAdditional(batch.size());
         if (batch.size() >= 8 && batch.size() >= events.size() / 2) {
             for (TimedEvent &e : batch) {
                 if constexpr (kCheckedBuild) {

@@ -14,27 +14,27 @@ SpinBarrier::yieldNow()
     std::this_thread::yield();
 }
 
-ParallelSimulator::ParallelSimulator(std::vector<SimStation> stations,
-                                     Tick lookahead, unsigned jobs)
+ParallelSimulator::ParallelSimulator(std::vector<EventQueue *> stations,
+                                     Tick lookahead, Deliver deliver,
+                                     unsigned jobs)
     : _stations(std::move(stations)), _lookahead(lookahead),
-      _jobsParam(jobs)
+      _deliver(std::move(deliver)), _jobsParam(jobs)
 {
-    for (const SimStation &s : _stations)
-        if (!s.queue || !s.drain)
-            fatal("ParallelSimulator: station without queue or drain");
+    for (const EventQueue *q : _stations)
+        if (!q)
+            fatal("ParallelSimulator: station without a queue");
 }
 
 Tick
 ParallelSimulator::deliverAndFloor()
 {
-    // Drains run serially in station order: each hook sorts its own
-    // messages, so the delivery sequence is a pure function of the
-    // message set — deterministic for any worker count.
-    for (SimStation &s : _stations)
-        s.drain();
+    // The hook runs alone, between windows: what it schedules, and in
+    // which order, cannot depend on the worker count.
+    if (_deliver)
+        _deliver();
     Tick floor = kTickMax;
-    for (SimStation &s : _stations)
-        floor = std::min(floor, s.queue->nextTime());
+    for (const EventQueue *q : _stations)
+        floor = std::min(floor, q->nextTime());
     return floor;
 }
 
@@ -43,8 +43,8 @@ ParallelSimulator::windowLimit(Tick floor) const
 {
     // Inclusive runUntil() limit: [floor, floor + lookahead). With a
     // zero lookahead the window collapses to the single timestamp
-    // `floor` — serialized but deadlock-free (messages posted at
-    // `floor` are delivered next round, in sorted order).
+    // `floor` — serialized but deadlock-free (work posted at `floor`
+    // is delivered next round).
     if (_lookahead == 0)
         return floor;
     if (_lookahead - 1 > kTickMax - floor)
@@ -71,7 +71,7 @@ ParallelSimulator::run()
     // before its `ready` arrival, and the barrier's acquire/release
     // generation hand-off orders them before any worker's read (and
     // the workers' station mutations before the main thread's next
-    // drain).
+    // deliver).
     SpinBarrier ready(workers), done(workers);
     Tick limit = 0;
     bool stop = false;
@@ -83,7 +83,7 @@ ParallelSimulator::run()
                     _validator->claimStation(
                         static_cast<unsigned>(s));
             }
-            _stations[s].queue->runUntil(limit);
+            _stations[s]->runUntil(limit);
             if constexpr (kCheckedBuild) {
                 if (_validator)
                     _validator->releaseStation(
@@ -131,8 +131,8 @@ ParallelSimulator::run()
         t.join();
 
     Tick end = 0;
-    for (SimStation &s : _stations)
-        end = std::max(end, s.queue->now());
+    for (const EventQueue *q : _stations)
+        end = std::max(end, q->now());
     return end;
 }
 

@@ -143,18 +143,18 @@ Validator::onPop(unsigned dev, Tick when)
 }
 
 void
-Validator::onMailboxPost(unsigned src, unsigned dst, Tick when,
-                         Tick srcNow)
+Validator::onCrossPost(unsigned src, unsigned dst, Tick when,
+                       Tick srcNow)
 {
     count();
     if (dst >= _slots.size())
-        fail(dst, "onMailboxPost", "destination out of range", dst,
+        fail(dst, "onCrossPost", "destination out of range", dst,
              _slots.size());
     if (when < srcNow || when - srcNow < _lookahead)
-        fail(src, "onMailboxPost",
+        fail(src, "onCrossPost",
              "message stamped under the lookahead horizon", when,
              srcNow + _lookahead);
-    checkOwner(src, "onMailboxPost");
+    checkOwner(src, "onCrossPost");
 }
 
 void

@@ -5,8 +5,8 @@
  *
  * The determinism of a multi-device run rests on invariants the
  * compiler never sees: no event is scheduled into a queue's past, a
- * cross-device mailbox message is stamped at least one lookahead
- * beyond its sender's clock, each device's state is touched only by
+ * cross-device post is stamped at least one lookahead beyond its
+ * sender's clock, each device's state is touched only by
  * the worker thread that owns its station for the current window,
  * and every queue pops timestamps monotonically inside the window
  * bounds. bgnlint's BGN006/BGN007 prove the lexical side; this class
@@ -15,7 +15,7 @@
  *
  * Cost model: configuring with -DBGN_CHECKED=ON defines the
  * BGN_CHECKED macro globally, turning ::beacongnn::sim::kCheckedBuild
- * true; every hook call site in the hot paths (EventQueue, Mailbox,
+ * true; every hook call site in the hot paths (EventQueue,
  * ParallelSimulator, GnnEngine) sits under `if constexpr
  * (kCheckedBuild)`, so an OFF build compiles the hooks out entirely —
  * byte- and timing-neutral, enforced by the validator_overhead
@@ -81,11 +81,12 @@ class Validator
      *  monotone per queue and confined to the open window, and only
      *  the claiming thread may pop. */
     void onPop(unsigned dev, Tick when);
-    /** Mailbox post from @p src to @p dst: the delivery stamp must
-     *  be >= sender clock + lookahead or the conservative window
-     *  could deliver work into a station's executed past. */
-    void onMailboxPost(unsigned src, unsigned dst, Tick when,
-                       Tick srcNow);
+    /** Cross-station post from @p src to @p dst (the engine's outbox
+     *  append): the delivery stamp must be >= sender clock +
+     *  lookahead or the conservative window could deliver work into
+     *  a station's executed past. */
+    void onCrossPost(unsigned src, unsigned dst, Tick when,
+                     Tick srcNow);
     /** Arbitrary lane-owned touch of device @p dev (engine entry
      *  points): inside a window only the owning thread may call. */
     void onTouch(unsigned dev, const char *what);

@@ -11,8 +11,9 @@
  *   getBlockList  — fetch reserved physical blocks for DirectGraph
  *   setGnnConfig  — deliver model parameters / sampling configuration
  *   flushDirectGraph — stream verified page images to flash
- *   submitBatch   — hand a mini-batch's target addresses to the
- *                   flash-firmware GNN engine
+ *
+ * The fourth command, SubmitBatch, hands a mini-batch's targets to the
+ * GNN engine, which charges it itself (GnnEngine::run).
  */
 
 #ifndef BEACONGNN_SSD_HOST_INTERFACE_H
@@ -97,29 +98,6 @@ class HostInterface
             last = queue.submit(now, cmd, per_page);
         res.finish = std::max(res.finish, last.completed);
         return res;
-    }
-
-    /**
-     * Submit a mini-batch's target addresses (vendor SubmitBatch).
-     * @return Time the firmware GNN engine may begin (completion of
-     *         the command at the device).
-     */
-    sim::Tick
-    submitBatch(sim::Tick now, std::size_t n_targets,
-                NvmeCompletion *completion = nullptr)
-    {
-        NvmeCommand cmd;
-        cmd.op = NvmeOp::SubmitBatch;
-        cmd.bytes = static_cast<std::uint32_t>(n_targets * 4);
-        // §VI-E: the firmware verifies every target's primary-section
-        // address against the reserved blocks before starting.
-        sim::Grant core = fw.coreIssue(
-            now, fw.config().controller.ftlLookupTime *
-                     std::max<std::size_t>(1, n_targets / 32));
-        NvmeCompletion c = queue.submit(now, cmd, core.end - now);
-        if (completion)
-            *completion = c;
-        return c.completed;
     }
 
     const NvmeQueuePair &nvme() const { return queue; }

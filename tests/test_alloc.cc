@@ -3,7 +3,7 @@
  * Heap-allocation budget of the command paths (DESIGN.md §8).
  *
  * A steady-state batch allocates per batch, never per command: the
- * engine reuses its batch, lanes, sampler results and drain buffers,
+ * engine reuses its batch, lanes, sampler results and outboxes,
  * the page directory and the vertex cache are flat arrays, and the
  * draw buffers are fixed arrays. So once a session has run a warm-up
  * batch, a batch of 1,024 targets may allocate only a few more times
@@ -62,7 +62,7 @@ using namespace beacongnn::platforms;
 
 /** Extra allocations a 1,024-target batch may make over a 128-target
  *  one: each vector that grows with the batch (lane fragments, event
- *  heaps, the subgraph, drain buffers) doubles about three more
+ *  heaps, the subgraph, outboxes) doubles about three more
  *  times. Per-command allocation would exceed it by orders of
  *  magnitude. */
 constexpr std::uint64_t kGrowthBudget = 48;
@@ -107,13 +107,20 @@ class AllocBudget : public ::testing::Test
         std::uint64_t large = 0; ///< 1,024-target batch.
         std::uint64_t commands = 0;
         std::uint64_t evictions = 0; ///< engine.cache.evictions.
+        std::uint64_t deduped = 0;   ///< engine.deduped_reads.
     };
 
     /** Warm up, then count one 128- and one 1,024-target batch. */
     static Counts
     measure(PlatformKind kind, const RunConfig &rc)
     {
-        PlatformSession session(makePlatform(kind), rc, *bundle);
+        return measure(makePlatform(kind), rc);
+    }
+
+    static Counts
+    measure(const PlatformConfig &platform, const RunConfig &rc)
+    {
+        PlatformSession session(platform, rc, *bundle);
         const auto warm = targets(128, 1);
         const auto small = targets(128, 2);
         const auto large = targets(1024, 3);
@@ -133,6 +140,9 @@ class AllocBudget : public ::testing::Test
         if (const sim::Counter *ev =
                 session.metrics().findCounter("engine.cache.evictions"))
             c.evictions = ev->value();
+        if (const sim::Counter *dd =
+                session.metrics().findCounter("engine.deduped_reads"))
+            c.deduped = dd->value();
         return c;
     }
 
@@ -160,6 +170,21 @@ TEST_F(AllocBudget, EvictingCacheAllocatesPerBatch)
     const Counts c = measure(PlatformKind::BG2, rc);
     ASSERT_GT(c.commands, 10000u);
     ASSERT_GT(c.evictions, 0u) << "the 1 MiB cache must evict";
+    EXPECT_LE(c.large, c.small + kGrowthBudget)
+        << "128 targets: " << c.small << ", 1024 targets: " << c.large;
+}
+
+TEST_F(AllocBudget, DedupeAllocatesPerBatch)
+{
+    // Batch-level dedupe keeps a per-lane stamp per node, sized once:
+    // a fetched primary section allocates nothing.
+    PlatformConfig bg2 = makePlatform(PlatformKind::BG2);
+    bg2.flags.dedupeNodes = true;
+    RunConfig rc;
+    rc.topology.devices = 2;
+    const Counts c = measure(bg2, rc);
+    ASSERT_GT(c.commands, 10000u);
+    ASSERT_GT(c.deduped, 0u) << "the batches must repeat nodes";
     EXPECT_LE(c.large, c.small + kGrowthBudget)
         << "128 targets: " << c.small << ", 1024 targets: " << c.large;
 }

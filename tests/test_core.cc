@@ -96,6 +96,22 @@ TEST(BeaconGnnSystem, MiniBatchMatchesGoldenPipeline)
     }
 }
 
+TEST(BeaconGnnSystem, NextBatchStartsWhenThePreviousPrepFinishes)
+{
+    // GnnEngine::run charges the SubmitBatch command itself (batch
+    // overhead plus an NVMe round trip), so the facade hands it the
+    // previous batch's prep finish as is: it charges no second
+    // SubmitBatch of its own.
+    BeaconGnnSystem sys(testGraph(), graph::FeatureTable(16, 3),
+                        smallOptions());
+    std::vector<graph::NodeId> t1 = {1, 2};
+    std::vector<graph::NodeId> t2 = {3, 4};
+    auto r1 = sys.runMiniBatch(t1);
+    auto r2 = sys.runMiniBatch(t2);
+    ASSERT_TRUE(r1.prep.ok);
+    EXPECT_EQ(r2.prep.start, r1.prep.finish);
+}
+
 TEST(BeaconGnnSystem, ConsecutiveBatchesAdvanceTime)
 {
     BeaconGnnSystem sys(testGraph(), graph::FeatureTable(16, 3),

@@ -43,9 +43,10 @@ const std::vector<RuleInfo> kRules = {
      "the site with // bgnlint:deterministic-order"},
     {"BGN006",
      "direct schedule on a foreign device queue",
-     "cross-device work must travel as a timestamped sim::Mailbox "
-     "message (DESIGN.md §13); only the conservative-sync seams may "
-     "touch another device's queue, tagged // bgnlint:allow(BGN006)"},
+     "cross-device work must wait in the posting lane's outbox for "
+     "the driver's deliver hook (DESIGN.md §13); only the "
+     "conservative-sync seams may touch another device's queue, "
+     "tagged // bgnlint:allow(BGN006)"},
     {"BGN007",
      "write to lane-owned state not indexed by the owning device",
      "per-device state is touched only through its owner's lane "
@@ -267,7 +268,7 @@ collectAnnotations(const std::vector<Token> &all)
  *
  *  - @ref containers — names ever declared as a vector/array whose
  *    element type is a per-device lane (Batch::Lane, DevicePort,
- *    DeviceContext, SimStation) or a per-device shard
+ *    DeviceContext) or a per-device shard
  *    (TraceSink, VertexCache, EventQueue, possibly unique_ptr
  *    wrapped), plus any container declaration carrying a
  *    `bgnlint:lane-owned` tag;
@@ -282,10 +283,10 @@ struct LaneTable
 };
 
 const std::set<std::string> kLaneElementTypes = {
-    "Lane",      "DevicePort",  "DeviceContext", "SimStation",
+    "Lane",      "DevicePort",  "DeviceContext",
     "TraceSink", "VertexCache", "EventQueue"};
-const std::set<std::string> kLaneClasses = {
-    "Lane", "DeviceContext", "DevicePort", "SimStation"};
+const std::set<std::string> kLaneClasses = {"Lane", "DeviceContext",
+                                            "DevicePort"};
 
 /** Record container declarations whose element type is a lane type:
  *  `vector<...LaneType...> [&*] NAME`. */
@@ -783,7 +784,7 @@ Linter::rule006(FileContext &ctx)
         emit(ctx, t[m + 1].line, "BGN006",
              t[m + 1].text +
                  "() on a foreign device queue bypasses conservative "
-                 "sync; post a timestamped sim::Mailbox message "
+                 "sync; append the event to the posting lane's outbox "
                  "(DESIGN.md §13) or, at a sanctioned sync seam, tag "
                  "the line // bgnlint:allow(BGN006)");
     }

@@ -25,12 +25,13 @@
  *            queue reached through a member — `port.queue->scheduleAt`
  *            or `ctx->queue().schedule`: under the conservative
  *            parallel simulator (DESIGN.md §13) cross-device work must
- *            travel as a timestamped sim::Mailbox message; the handful
- *            of sanctioned sync seams carry an allow tag;
+ *            wait in the posting lane's outbox for the driver's deliver
+ *            hook; the handful of sanctioned sync seams carry an allow
+ *            tag;
  *  - BGN007  no write to lane-owned state (a cross-TU symbol table of
  *            containers whose elements are per-device lanes —
- *            Batch::Lane, DevicePort, DeviceContext, SimStation,
- *            per-device TraceSink/VertexCache/EventQueue shards, plus
+ *            Batch::Lane, DevicePort, DeviceContext, per-device
+ *            TraceSink/VertexCache/EventQueue shards, plus
  *            any declaration tagged `bgnlint:lane-owned`) unless the
  *            access is indexed by a single owning-device identifier;
  *            literal/compound indices and mutable range-fors over a
