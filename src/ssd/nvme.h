@@ -13,9 +13,10 @@
  *    DirectGraph manipulation interface exposed through ioctl:
  *      GetBlockList   — fetch reserved physical blocks,
  *      FlushDgPage    — write one verified DirectGraph page,
- *      SetGnnConfig   — deliver model/sampling configuration,
- *      SubmitBatch    — hand a mini-batch of target addresses to the
- *                       flash-firmware GNN engine.
+ *      SetGnnConfig   — deliver model/sampling configuration.
+ *    The fourth vendor command, SubmitBatch, hands a mini-batch of
+ *    target addresses to the GNN engine, which charges it itself
+ *    (GnnEngine::run).
  */
 
 #ifndef BEACONGNN_SSD_NVME_H
@@ -39,7 +40,6 @@ enum class NvmeOp : std::uint8_t
     GetBlockList, ///< Vendor: fetch reserved DirectGraph blocks.
     FlushDgPage,  ///< Vendor: program one DirectGraph page.
     SetGnnConfig, ///< Vendor: global GNN configuration.
-    SubmitBatch,  ///< Vendor: start a mini-batch (target addresses).
 };
 
 /** One submission-queue entry (timing-relevant fields only). */

@@ -607,6 +607,29 @@ TEST(GnnEngine, DedupeHitMovesItsFrameThroughDram)
               16u * (twice.dedupedReads - once.dedupedReads));
 }
 
+TEST(GnnEngine, DedupeForgetsEarlierBatches)
+{
+    // A batch's dedupe state ends with it: the same targets, run twice
+    // on one engine under one batch id, sense the same primaries the
+    // second time instead of serving them as dedupe hits.
+    EngineRig rig;
+    PrepFlags f = streamingFlags(SamplingLoc::Die, true);
+    f.dedupeNodes = true;
+    platforms::PlatformConfig platform;
+    platform.flags = f;
+    platforms::DeviceContext dev(platform, rig.cfg, {}, rig.model,
+                                 rig.layout.blocks, 0, false);
+    GnnEngine engine({dev.port()}, rig.layout, rig.g, rig.model, f,
+                     *rig.bytes);
+    const std::vector<graph::NodeId> targets = {5, 5};
+    PrepResult first = engine.run(0, 1, targets);
+    PrepResult second = engine.run(first.finish, 1, targets);
+    ASSERT_TRUE(first.ok && second.ok);
+    EXPECT_GT(first.dedupedReads, 0u);
+    EXPECT_EQ(second.dedupedReads, first.dedupedReads);
+    EXPECT_EQ(second.tally.flashReads, first.tally.flashReads);
+}
+
 TEST(GnnEngine, EmptyBatchFinishesAtSubmit)
 {
     // An empty mini-batch issues no command: it finishes when its
